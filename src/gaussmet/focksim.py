@@ -1,22 +1,24 @@
 """Truncated Fock-space oracle for small Gaussian probes.
 
-Builds exact state vectors of up to three modes by exponentiating the
-truncated displacement, squeezing, and mode-mixing Hamiltonians, and
-evaluates the QFI as four times the generator variance plus the Fisher
-information of photon counting in an arbitrary mode basis. This module is
-the independent check for every closed form in the package: it shares no
-algebra with the Gaussian engine.
+Builds exact state vectors of up to three modes, truncated by total photon
+number N <= cutoff, and evaluates the QFI as four times the generator
+variance plus the Fisher information of photon counting in an arbitrary
+mode basis. Displacement and squeezing are matrix exponentials of the
+single-mode Hamiltonians. A passive mode mixer conserves N, so its lift is
+block-diagonal in N; each block follows exactly from the block for N - 1
+by the one-photon recurrence of Miatto & Quesada, Quantum 4, 366 (2020),
+with no exponential. This module is the independent check for every
+closed form in the package: it shares no algebra with the Gaussian engine.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import matkernel
 from .errors import TailTooLargeError, TooManyModesError
@@ -24,11 +26,17 @@ from .gaussian import DisentangledForm
 from .generator import Generator
 
 MAX_MODES = 3
+# probability at N > cutoff that apply_mode_transform may drop
+_LIFT_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Per-mode cutoff, finite-difference step, and truncation budget."""
+    """Total-photon cutoff, finite-difference step, and truncation budget.
+
+    ``cutoff`` bounds the total photon number N summed over modes;
+    ``tail_tol`` bounds the probability the product state has at N > cutoff.
+    """
 
     cutoff: int
     fd_step: float = 1e-5
@@ -45,7 +53,11 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class FockStateVector:
-    """Normalized truncated amplitudes, shape (cutoff+1,) * n_modes."""
+    """Normalized truncated amplitudes, shape (cutoff+1,) * n_modes.
+
+    Amplitudes are zero outside the sectors N <= cutoff; ``norm_deficit``
+    is the probability the untruncated state has at N > cutoff.
+    """
 
     n_modes: int
     cutoff: int
@@ -57,59 +69,100 @@ def _annihilator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=32)
 def _occupations(cutoff: int, n_modes: int) -> np.ndarray:
     """Photon counts per mode for every lattice point, shape (M, dim)."""
-    return np.indices((cutoff + 1,) * n_modes).reshape(n_modes, -1)
+    return _readonly(np.indices((cutoff + 1,) * n_modes).reshape(n_modes, -1))
 
 
-def _quadratic_sparse(coeffs: np.ndarray, cutoff: int, n_modes: int) -> scipy.sparse.csr_matrix:
-    """Sparse lattice matrix of sum_nm coeffs[n, m] a_n^dag a_m."""
-    dim = (cutoff + 1) ** n_modes
+@dataclass(frozen=True)
+class _Sector:
+    """Index tables of one photon-number sector N >= 1 of the lattice.
+
+    ``flat`` holds the lattice indices of the states with N photons. Row m
+    of the lift recurs on m - e_i, i the first occupied mode of m: it sits
+    at ``row_prev`` in sector N - 1 and ``inv_sqrt_occ`` is m_i^(-1/2).
+    Column n recurs on every n - e_j: at ``col_prev[j]`` with weight
+    ``sqrt_occ[j]`` = sqrt(n_j), which is 0 where n_j = 0.
+    """
+
+    flat: np.ndarray
+    first: np.ndarray
+    row_prev: np.ndarray
+    inv_sqrt_occ: np.ndarray
+    col_prev: np.ndarray
+    sqrt_occ: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _sectors(cutoff: int, n_modes: int) -> tuple[tuple[_Sector, ...], np.ndarray]:
+    """Tables for the sectors N = 1..cutoff and the lattice indices at N > cutoff."""
     counts = _occupations(cutoff, n_modes)
+    total = counts.sum(axis=0)
     strides = (cutoff + 1) ** np.arange(n_modes - 1, -1, -1)
-    flat = np.arange(dim)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(dim, dtype=complex)
-    for n in range(n_modes):
-        for m in range(n_modes):
-            c = coeffs[n, m]
-            if abs(c) == 0.0:
-                continue
-            if n == m:
-                diag += c * counts[n]
-                continue
-            mask = (counts[m] >= 1) & (counts[n] <= cutoff - 1)
-            src = flat[mask]
-            dst = src + strides[n] - strides[m]
-            amp = c * np.sqrt(counts[m][mask] * (counts[n][mask] + 1.0))
-            rows.append(dst)
-            cols.append(src)
-            vals.append(amp)
-    rows.append(flat)
-    cols.append(flat)
-    vals.append(diag)
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-
-
-def _passive_hamiltonian(v: np.ndarray) -> np.ndarray:
-    """Hermitian h with v = exp(-1j h), via a Schur form of the unitary."""
-    t, q = scipy.linalg.schur(v, output="complex")
-    h = q @ np.diag(-np.angle(np.diag(t))) @ q.conj().T
-    return (h + h.conj().T) / 2.0
+    position = np.zeros(total.size, dtype=np.intp)  # the vacuum sits at 0 of sector 0
+    sectors = []
+    for n in range(1, cutoff + 1):
+        flat = np.flatnonzero(total == n)
+        position[flat] = np.arange(flat.size)
+        occ = counts[:, flat]
+        first = np.argmax(occ > 0, axis=0)
+        states = np.arange(flat.size)
+        col_prev = np.zeros(occ.shape, dtype=np.intp)
+        for j in range(n_modes):
+            occupied = occ[j] > 0
+            col_prev[j, occupied] = position[flat[occupied] - strides[j]]
+        sectors.append(
+            _Sector(
+                flat=_readonly(flat),
+                first=_readonly(first),
+                row_prev=_readonly(position[flat - strides[first]]),
+                inv_sqrt_occ=_readonly(1.0 / np.sqrt(occ[first, states])),
+                col_prev=_readonly(col_prev),
+                sqrt_occ=_readonly(np.sqrt(occ)),
+            )
+        )
+    return tuple(sectors), _readonly(np.flatnonzero(total > cutoff))
 
 
 def apply_mode_transform(psi: np.ndarray, v: np.ndarray, cutoff: int) -> np.ndarray:
-    """Apply the Fock-space lift of a passive mode transform matrix v."""
+    """Apply the Fock-space lift of a passive mode transform matrix v.
+
+    The lift acts exactly on every sector N <= cutoff: the block of sector
+    N follows from that of N - 1 by
+    <m|U|n> = m_i^(-1/2) sum_j v_ij sqrt(n_j) <m-e_i|U|n-e_j>, i the first
+    occupied mode of m, which holds because U^dag a_i U = sum_j v_ij a_j;
+    the N = 1 block is v itself. Raises TailTooLargeError if psi has more
+    than 1e-12 probability at N > cutoff, which the truncated lift cannot
+    carry.
+    """
     n_modes = int(v.shape[0])
+    flat_in = psi.reshape(-1)
+    sectors, outside = _sectors(cutoff, n_modes)
+    tail = float(np.sum(np.abs(flat_in[outside]) ** 2))
+    if tail > _LIFT_TAIL_TOL:
+        raise TailTooLargeError(
+            f"state has probability {tail:.3e} above {cutoff} photons; the lift keeps N <= cutoff only"
+        )
     if matkernel.max_norm(v - np.eye(n_modes)) < 1e-14:
         return psi
-    h = _passive_hamiltonian(v)
-    ham = _quadratic_sparse(h, cutoff, n_modes)
-    flat = scipy.sparse.linalg.expm_multiply(-1j * ham, psi.reshape(-1))
-    return flat.reshape(psi.shape)
+    flat_out = np.zeros_like(flat_in, dtype=complex)
+    flat_out[0] = flat_in[0]
+    block = np.ones((1, 1), dtype=complex)
+    for sector in sectors:
+        rows = block[sector.row_prev]
+        weights = v[sector.first] * sector.inv_sqrt_occ[:, None]
+        block = sum(
+            np.take(rows, sector.col_prev[j], axis=1) * np.multiply.outer(weights[:, j], sector.sqrt_occ[j])
+            for j in range(n_modes)
+        )
+        flat_out[sector.flat] = block @ flat_in[sector.flat]
+    return flat_out.reshape(psi.shape)
 
 
 def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
@@ -119,10 +172,10 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
     single-mode Hamiltonians on a padded working space (the truncated
     generators are anti-Hermitian, so the exponentials themselves are
     unitary; the padding keeps their aliasing error far above the declared
-    cutoff). Projecting the working space back down to the cutoff loses
-    the genuine tail probability, which is reported as the norm deficit
-    before renormalization. The mode mixer then acts as the exponential of
-    its photon-conserving quadratic Hamiltonian on the full lattice.
+    cutoff). The product state is then projected onto total photon number
+    N <= cutoff; the probability lost, 1 - ||P_{N<=c} psi||^2, is the norm
+    deficit reported before renormalization. The mode mixer conserves N and
+    acts exactly on the kept sectors.
     """
     m = d.n_modes
     if m > MAX_MODES:
@@ -143,18 +196,18 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
             disp = scipy.linalg.expm(d.alpha[n] * adag - np.conj(d.alpha[n]) * a)
             column = disp @ column
         factors.append(column[: c + 1])
-    # the pre-mix state is a product state, so the joint kept probability
-    # factorizes over modes
-    norm_sq = float(np.prod([np.sum(np.abs(f) ** 2) for f in factors]))
+    psi = factors[0]
+    for factor in factors[1:]:
+        psi = np.multiply.outer(psi, factor)
+    psi = psi.reshape(-1)
+    psi[_sectors(c, m)[1]] = 0.0
+    norm_sq = float(np.sum(np.abs(psi) ** 2))
     deficit = max(0.0, 1.0 - norm_sq)
     if deficit > cfg.tail_tol:
         raise TailTooLargeError(
             f"truncated tail {deficit:.3e} exceeds tail_tol {cfg.tail_tol:.3e}; raise cutoff"
         )
-    psi = factors[0]
-    for factor in factors[1:]:
-        psi = np.multiply.outer(psi, factor)
-    psi = psi / np.sqrt(norm_sq)
+    psi = (psi / np.sqrt(norm_sq)).reshape((c + 1,) * m)
     psi = apply_mode_transform(psi, d.V, c)
     return FockStateVector(n_modes=m, cutoff=c, amplitudes=np.ascontiguousarray(psi), norm_deficit=deficit)
 

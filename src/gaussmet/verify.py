@@ -91,7 +91,8 @@ def suite_bound(trials: int, seed: int) -> SuiteReport:
 
 
 def _oracle_cutoff(m: int) -> int:
-    return {1: 30, 2: 24, 3: 20}[m]
+    # total-photon cutoffs that keep the suite's draws under tail_tol=1e-12
+    return {1: 30, 2: 24, 3: 22}[m]
 
 
 def random_small_state(rng: np.random.Generator, m: int) -> DisentangledForm:

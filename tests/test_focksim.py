@@ -225,3 +225,116 @@ def test_mode_transform_preserves_norm_and_rotates():
     assert np.sum(np.abs(rotated) ** 2) == pytest.approx(1.0, abs=1e-12)
     back = focksim.apply_mode_transform(rotated, w.conj().T, cfg.cutoff)
     assert np.max(np.abs(back - psi.amplitudes)) < 1e-10
+
+
+def _single_photon(n_modes, cutoff, mode):
+    psi = np.zeros((cutoff + 1,) * n_modes, dtype=complex)
+    index = [0] * n_modes
+    index[mode] = 1
+    psi[tuple(index)] = 1.0
+    return psi
+
+
+def _random_sector_state(rng, n_modes, cutoff):
+    """Random normalized lattice vector supported on N <= cutoff."""
+    shape = (cutoff + 1,) * n_modes
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    psi[np.indices(shape).sum(axis=0) > cutoff] = 0.0
+    return psi / np.linalg.norm(psi)
+
+
+def _coherent_product(alphas, cutoff):
+    """prod_k e^{-|a_k|^2/2} a_k^n_k / sqrt(n_k!) on N <= cutoff, unnormalized."""
+    n_modes = len(alphas)
+    shape = (cutoff + 1,) * n_modes
+    psi = np.zeros(shape, dtype=complex)
+    for index in np.ndindex(*shape):
+        if sum(index) <= cutoff:
+            amp = 1.0 + 0.0j
+            for a, n in zip(alphas, index):
+                amp *= np.exp(-abs(a) ** 2 / 2) * a**n / math.sqrt(math.factorial(n))
+            psi[index] = amp
+    return psi
+
+
+def test_lift_one_photon_block_is_v():
+    rng = np.random.default_rng(31)
+    for m in (2, 3):
+        v = random_unitary(rng, m)
+        cutoff = 4
+        for j in range(m):
+            out = focksim.apply_mode_transform(_single_photon(m, cutoff, j), v, cutoff)
+            for i in range(m):
+                assert abs(out[tuple(np.eye(m, dtype=int)[i])] - v[i, j]) < 1e-14
+            assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_lift_is_a_representation():
+    rng = np.random.default_rng(32)
+    for m, cutoff in ((2, 12), (3, 10)):
+        v1, v2 = random_unitary(rng, m), random_unitary(rng, m)
+        psi = _random_sector_state(rng, m, cutoff)
+        two_steps = focksim.apply_mode_transform(
+            focksim.apply_mode_transform(psi, v2, cutoff), v1, cutoff
+        )
+        one_step = focksim.apply_mode_transform(psi, v1 @ v2, cutoff)
+        assert np.max(np.abs(two_steps - one_step)) < 1e-13
+
+
+def test_lift_hong_ou_mandel():
+    cutoff = 3
+    bs = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    psi = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    psi[1, 1] = 1.0
+    out = focksim.apply_mode_transform(psi, bs, cutoff)
+    want = np.zeros_like(psi)
+    want[2, 0] = 1.0 / np.sqrt(2.0)
+    want[0, 2] = -1.0 / np.sqrt(2.0)
+    assert np.max(np.abs(out - want)) < 1e-15
+
+
+def test_lift_of_diagonal_v_is_phase():
+    rng = np.random.default_rng(33)
+    m, cutoff = 3, 9
+    theta = rng.uniform(-np.pi, np.pi, m)
+    psi = _random_sector_state(rng, m, cutoff)
+    out = focksim.apply_mode_transform(psi, np.diag(np.exp(-1j * theta)), cutoff)
+    counts = np.indices(psi.shape)
+    phase = np.exp(-1j * np.tensordot(theta, counts, axes=1))
+    assert np.max(np.abs(out - phase * psi)) < 1e-14
+
+
+def test_lift_of_coherent_product_is_coherent_product():
+    rng = np.random.default_rng(34)
+    m, cutoff = 3, 20
+    alpha = 0.6 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    v = random_unitary(rng, m)
+    out = focksim.apply_mode_transform(_coherent_product(alpha, cutoff), v, cutoff)
+    assert np.max(np.abs(out - _coherent_product(v @ alpha, cutoff))) < 1e-14
+
+
+def test_lift_rejects_probability_above_cutoff():
+    rng = np.random.default_rng(35)
+    cutoff = 6
+    psi = _random_sector_state(rng, 2, cutoff)
+    psi[cutoff, 1] = 1e-5
+    with pytest.raises(TailTooLargeError):
+        focksim.apply_mode_transform(psi, random_unitary(rng, 2), cutoff)
+    with pytest.raises(TailTooLargeError):
+        focksim.apply_mode_transform(psi, np.eye(2, dtype=complex), cutoff)
+
+
+def test_norm_deficit_is_poisson_tail_of_total_photon_number():
+    rng = np.random.default_rng(36)
+    cutoff = 8
+    for m in (1, 2, 3):
+        alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        alpha *= np.sqrt(2.5) / np.linalg.norm(alpha)
+        d = DisentangledForm(V=random_unitary(rng, m), alpha=alpha, r=np.zeros(m))
+        psi = focksim.fock_build(d, OracleConfig(cutoff=cutoff, tail_tol=0.1))
+        mean = float(np.sum(np.abs(alpha) ** 2))
+        cdf = math.fsum(math.exp(-mean) * mean**n / math.factorial(n) for n in range(cutoff + 1))
+        assert abs(psi.norm_deficit - (1.0 - cdf)) < 1e-13
+        total = np.indices(psi.amplitudes.shape).sum(axis=0)
+        assert np.all(psi.amplitudes[total > cutoff] == 0.0)
+        assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-14)
