@@ -49,6 +49,13 @@ class _UsageError(Exception):
     pass
 
 
+def _trial_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"trial count must be at least 1, got {count}")
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gaussmet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,7 +100,7 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="randomized verification suites")
     p_ver.add_argument("--suite", default="all", choices=["bound", "oracle", "lemma2", "all"])
-    p_ver.add_argument("--trials", type=int, default=200)
+    p_ver.add_argument("--trials", type=_trial_count, default=200)
     p_ver.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -77,8 +77,7 @@ def sigma_env_from_thermal(n_thermal: float, eta: float) -> float:
 
 def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...]):
     """Per-mode (g, r) after checking the probe lives on eigenmodes."""
-    gt = d.V.conj().T @ gen.G @ d.V
-    gt = (gt + gt.conj().T) / 2.0
+    gt = metrology.build_workspace(d, gen).Gtilde
     scale = max(1.0, matkernel.max_norm(gen.G))
     populated = set(np.nonzero(d.r > 0)[0]) | set(np.nonzero(np.abs(d.alpha) > 0)[0])
     for n in sorted(populated | set(modes)):
@@ -106,15 +105,21 @@ def homodyne_variance(
 ) -> float:
     """Outcome variance of homodyning one eigenmode at a relative phase."""
     ((g, r),) = _eigenmode_data(d, gen, (mode,))
-    theta = 2.0 * (phase + lam * g)
-    ideal = np.sinh(2.0 * r) * np.cos(theta) + np.cosh(2.0 * r)
-    return float((eta * ideal + (1.0 - eta) * sigma_env_sq) / 2.0)
+    a, b = _variance_coefficients(r, eta, sigma_env_sq)
+    return _variance(a, b, g, phase, lam)
 
 
-def _optimal_phase(g: float, r: float, lam: float, eta: float, sig_env: float) -> float:
-    a = eta * np.cosh(2.0 * r) + (1.0 - eta) * sig_env
-    b = eta * np.sinh(2.0 * r)
-    return float(0.5 * np.arccos(b / a) - g * lam + 0.5 * np.pi)
+def _variance_coefficients(r: float, eta: float, sigma_env_sq: float) -> tuple[float, float]:
+    """A = eta cosh 2r + (1 - eta) sigma_env^2 and B = eta sinh 2r."""
+    return (
+        eta * np.cosh(2.0 * r) + (1.0 - eta) * sigma_env_sq,
+        eta * np.sinh(2.0 * r),
+    )
+
+
+def _variance(a: float, b: float, g: float, phase: float, lam: float) -> float:
+    """Outcome variance (A + B cos 2(phase + lam g)) / 2."""
+    return float((a + b * np.cos(2.0 * (phase + lam * g))) / 2.0)
 
 
 def homodyne_fi(d: DisentangledForm, gen: Generator, setup: HomodyneSetup) -> HomodyneResult:
@@ -132,18 +137,16 @@ def homodyne_fi(d: DisentangledForm, gen: Generator, setup: HomodyneSetup) -> Ho
     lam = setup.true_param
     per_mode, variances, phases_used = [], [], []
     for k, (g, r) in enumerate(data):
-        a = setup.eta * np.cosh(2.0 * r) + (1.0 - setup.eta) * setup.sigma_env_sq
-        b = setup.eta * np.sinh(2.0 * r)
+        a, b = _variance_coefficients(r, setup.eta, setup.sigma_env_sq)
         if setup.phases == "auto":
-            phi = _optimal_phase(g, r, lam, setup.eta, setup.sigma_env_sq)
-            fi_n = 2.0 * setup.eta**2 * g**2 * np.sinh(2.0 * r) ** 2 / (a**2 - b**2) if r > 0 else 0.0
+            phi = float(0.5 * np.arccos(b / a) - g * lam + 0.5 * np.pi)
+            var = _variance(a, b, g, phi, lam)
+            fi_n = 2.0 * b**2 * g**2 / (a**2 - b**2) if r > 0 else 0.0
         else:
             phi = float(setup.phases[k])
-            theta = 2.0 * (phi + g * lam)
-            v = a + b * np.cos(theta)
-            fi_n = 2.0 * setup.eta**2 * g**2 * np.sinh(2.0 * r) ** 2 * np.sin(theta) ** 2 / v**2
-        theta = 2.0 * (phi + g * lam)
-        variances.append(float((a + b * np.cos(theta)) / 2.0))
+            var = _variance(a, b, g, phi, lam)
+            fi_n = b**2 * g**2 * np.sin(2.0 * (phi + g * lam)) ** 2 / (2.0 * var**2)
+        variances.append(var)
         per_mode.append(float(fi_n))
         phases_used.append(phi)
     return HomodyneResult(
@@ -194,13 +197,9 @@ def empirical_fi(
     total = 0.0
     for k, (g, r) in enumerate(data):
         phi = base.phases_used[k]
-
-        def var_at(lam: float) -> float:
-            ideal = np.sinh(2.0 * r) * np.cos(2.0 * (phi + lam * g)) + np.cosh(2.0 * r)
-            return (setup.eta * ideal + (1.0 - setup.eta) * setup.sigma_env_sq) / 2.0
-
-        vp = var_at(setup.true_param + fd_step)
-        vm = var_at(setup.true_param - fd_step)
+        a, b = _variance_coefficients(r, setup.eta, setup.sigma_env_sq)
+        vp = _variance(a, b, g, phi, setup.true_param + fd_step)
+        vm = _variance(a, b, g, phi, setup.true_param - fd_step)
         x = samples[k]
 
         def logpdf(x2: np.ndarray, v: float) -> np.ndarray:

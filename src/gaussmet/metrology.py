@@ -32,15 +32,12 @@ class QfiWorkspace:
     """Conjugated generator and state moments entering the QFI traces.
 
     Gtilde is the generator in the product basis; C and S hold cosh(r)
-    and sinh(r); Amat and Bmat are the displacement moment matrices
-    alpha alpha^dagger and alpha alpha^T.
+    and sinh(r).
     """
 
     Gtilde: np.ndarray
     C: np.ndarray
     S: np.ndarray
-    Amat: np.ndarray
-    Bmat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,13 +79,7 @@ def build_workspace(d: DisentangledForm, gen: Generator) -> QfiWorkspace:
     _check_dims(d, gen)
     gt = d.V.conj().T @ gen.G @ d.V
     gt = (gt + gt.conj().T) / 2.0
-    return QfiWorkspace(
-        Gtilde=gt,
-        C=np.cosh(d.r),
-        S=np.sinh(d.r),
-        Amat=np.outer(d.alpha, d.alpha.conj()),
-        Bmat=np.outer(d.alpha, d.alpha),
-    )
+    return QfiWorkspace(Gtilde=gt, C=np.cosh(d.r), S=np.sinh(d.r))
 
 
 def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:

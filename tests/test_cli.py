@@ -145,6 +145,14 @@ def test_verify_command_exit_codes(capsys):
     assert "min gap" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trial_count_below_one(trials, capsys):
+    assert cli.run(["verify", "--suite", "bound", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
+
+
 def test_determinism_byte_identical(fixture_paths, capsys):
     state_path, gen_path, _ = fixture_paths
     argv = [

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaussmet import cli, focksim, generator, jsonio, matkernel, measurement, metrology, optimal, scenarios
+from gaussmet import cli, focksim, generator, jsonio, matkernel, measurement, metrology, optimal, scenarios, verify
 from gaussmet.errors import DimensionMismatchError, InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import DiscretizationGrid
@@ -153,6 +153,13 @@ def test_lemma2_dimension_mismatch():
         metrology.lemma2_gap(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
+def test_homodyne_dimension_mismatch():
+    gen = generator.from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    d = DisentangledForm(V=np.eye(2, dtype=complex), alpha=np.zeros(2, complex), r=np.full(2, 0.3))
+    with pytest.raises(DimensionMismatchError):
+        measurement.homodyne_fi(d, gen, HomodyneSetup(mode_indices=(0, 1)))
+
+
 def test_jsonio_rejects_bad_generator():
     with pytest.raises(InputError):
         jsonio.generator_from_dict({"signal_tol": 1e-12})
@@ -211,20 +218,19 @@ def test_scenario_csv_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_thread_cap_env(monkeypatch):
-    from gaussmet import verify
-
-    monkeypatch.setenv("GAUSSMET_THREADS", "1")
-    assert verify.thread_cap() == 1
-    monkeypatch.setenv("GAUSSMET_THREADS", "0")
-    assert verify.thread_cap() >= 1
-    monkeypatch.setenv("GAUSSMET_THREADS", "junk")
-    assert verify.thread_cap() >= 1
-    # per-trial seeding makes the worker count irrelevant to the result
+def test_verify_suite_reproducible():
     report1 = verify.suite_bound(trials=10, seed=4)
-    monkeypatch.setenv("GAUSSMET_THREADS", "4")
     report2 = verify.suite_bound(trials=10, seed=4)
     assert report1.summary == report2.summary
+
+
+def test_verify_oracle_counts_over_tail_trial_as_failed(monkeypatch):
+    # cutoff 1 leaves more than tail_tol outside N <= cutoff for every draw
+    monkeypatch.setattr(verify, "_oracle_cutoff", lambda m: 1)
+    report = verify.suite_oracle(trials=3, seed=777)
+    assert report.passed is False
+    assert "3 trial(s) failed with a Fock tail above tail_tol" in report.summary
+    assert "first trial 0 (seed 777)" in report.summary
 
 
 def test_resources_negative_variance_clamp():
