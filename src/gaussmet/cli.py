@@ -56,6 +56,24 @@ def _trial_count(text: str) -> int:
     return count
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _phases(text: str) -> tuple[float, ...] | str:
+    return "auto" if text == "auto" else _floats(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gaussmet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,8 +91,8 @@ def _build_parser() -> _Parser:
     p_build.add_argument("--dg", type=float, default=0.0)
     p_build.add_argument("--generator", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--angles", default=None, help="phi_i,phi_j squeeze angles")
-    p_build.add_argument("--modes", default=None, help="explicit mode indices")
+    p_build.add_argument("--angles", type=_floats, default=None, help="phi_i,phi_j squeeze angles")
+    p_build.add_argument("--modes", type=_ints, default=None, help="explicit mode indices")
     p_build.add_argument("--spectrum-tol", type=float, default=None)
     p_build.add_argument("--full-precision", action="store_true")
 
@@ -83,9 +101,9 @@ def _build_parser() -> _Parser:
     p_hom.add_argument("--generator", required=True)
     p_hom.add_argument("--eta", type=float, default=1.0)
     p_hom.add_argument("--nb", type=float, default=0.0, help="thermal photons in the environment")
-    p_hom.add_argument("--phases", default="auto")
+    p_hom.add_argument("--phases", type=_phases, default="auto")
     p_hom.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p_hom.add_argument("--modes", default=None, help="modes to homodyne (default: squeezed ones)")
+    p_hom.add_argument("--modes", type=_ints, default=None, help="modes to homodyne (default: squeezed ones)")
     p_hom.add_argument("--samples", type=int, default=0)
     p_hom.add_argument("--seed", type=int, default=0)
     p_hom.add_argument("--samples-out", default=None, help="CSV path prefix, one file per mode")
@@ -127,18 +145,14 @@ def _cmd_qfi(args) -> int:
 
 def _cmd_build(args) -> int:
     gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
-    angles = (0.0, 0.0)
-    if args.angles:
-        parts = [float(x) for x in args.angles.split(",")]
-        angles = (parts[0], parts[1] if len(parts) > 1 else 0.0)
-    modes = tuple(int(x) for x in args.modes.split(",")) if args.modes else None
+    angles = (args.angles + (0.0,))[:2] if args.angles else (0.0, 0.0)
     spec = optimal.ProbeSpec(
         kind=_BUILD_KINDS[args.kind],
         n_signal=args.ns,
         target_gmean=args.gbar,
         target_gvar=args.dg**2,
         squeeze_angles=angles,
-        mode_choice=modes,
+        mode_choice=args.modes,
         spectrum_tol=args.spectrum_tol if args.spectrum_tol is not None else np.inf,
     )
     result = optimal.build_probe(spec, gen)
@@ -158,14 +172,10 @@ def _cmd_homodyne(args) -> int:
     state = jsonio.state_from_dict(jsonio.load_json(args.state))
     gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
     d = disentangle(state)
-    if args.modes:
-        modes = tuple(int(x) for x in args.modes.split(","))
-    else:
-        modes = tuple(int(k) for k in np.nonzero(d.r > 1e-12)[0])
-    phases = "auto" if args.phases == "auto" else tuple(float(x) for x in args.phases.split(","))
+    modes = args.modes or tuple(int(k) for k in np.nonzero(d.r > 1e-12)[0])
     setup = measurement.HomodyneSetup(
         mode_indices=modes,
-        phases=phases,
+        phases=args.phases,
         eta=args.eta,
         sigma_env_sq=measurement.sigma_env_from_thermal(args.nb, args.eta),
         true_param=args.lam,

@@ -65,8 +65,8 @@ class FitIllConditionedError(GaussmetError):
     """Least-squares system for asymptotic coefficients is near-singular."""
 
 
-class InputError(GaussmetError):
-    """Malformed or inconsistent serialized input."""
+class InputError(GaussmetError, ValueError):
+    """Malformed, inconsistent or out-of-range input."""
 
 
 class GaussmetWarning(UserWarning):

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matkernel
-from .errors import TailTooLargeError, TooManyModesError
+from .errors import InputError, TailTooLargeError, TooManyModesError
 from .gaussian import DisentangledForm
 from .generator import Generator
 
@@ -44,11 +44,11 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
+            raise InputError("cutoff must be at least 1")
         if not (0.0 < self.tail_tol < 1.0):
-            raise ValueError("tail_tol must lie in (0, 1)")
+            raise InputError("tail_tol must lie in (0, 1)")
         if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+            raise InputError("fd_step must be positive")
 
 
 @dataclass(frozen=True)

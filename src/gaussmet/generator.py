@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import matkernel
-from .errors import ModesNotOrthonormalError
+from .errors import InputError, ModesNotOrthonormalError
 
 SHIFT_DOMAINS = ("time_shift", "frequency_shift", "beam_displacement", "beam_tilt")
 
@@ -97,9 +97,9 @@ class DiscretizationGrid:
 
     def __post_init__(self):
         if not (self.z_max > self.z_min):
-            raise ValueError("z_max must exceed z_min")
+            raise InputError("z_max must exceed z_min")
         if self.n_bins < 1:
-            raise ValueError("n_bins must be at least 1")
+            raise InputError("n_bins must be at least 1")
         if self.p_min is None:
             object.__setattr__(self, "p_min", -np.pi / self.delta_z + self.delta_p / 2.0)
 
@@ -159,7 +159,7 @@ class HGParams:
 
     def __post_init__(self):
         if not self.sigma_z > 0:
-            raise ValueError("sigma_z must be positive")
+            raise InputError("sigma_z must be positive")
 
 
 def hg_generator(

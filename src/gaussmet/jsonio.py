@@ -123,12 +123,6 @@ def resources_to_dict(res: ResourceTriple) -> dict:
 def report_to_dict(report: QfiReport) -> dict:
     return {
         "qfi": report.qfi,
-        "terms": {
-            "squeeze_a": report.term_squeeze_a,
-            "squeeze_b": report.term_squeeze_b,
-            "disp": report.term_disp,
-            "cross": report.term_cross,
-        },
         "resources": resources_to_dict(report.resources),
         "bound": report.bound,
         "bound_satisfied": report.bound_satisfied,

@@ -8,12 +8,15 @@ of probes.
 
 All quantities are evaluated in the basis where the state is a product of
 single-mode displaced squeezed vacua; callers pass arbitrary states and
-the generator is conjugated internally.
+the generator is conjugated internally. There the QFI, 4 Var(G), is the
+sum of two squared norms, 4 (||W||_F^2 / 2 + ||u||^2): W and u are the
+two- and one-quasiparticle amplitudes of (G - <G>) psi, so the value is
+non-negative by construction. The generator-intensity variance is
+likewise a sum of squares, of the mean-removed generator.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,14 +32,12 @@ _ZERO_PHOTON_CUTOFF = 1e-14
 
 @dataclass(frozen=True)
 class QfiWorkspace:
-    """Conjugated generator and state moments entering the QFI traces.
+    """Generator and squeezing in the product basis.
 
-    Gtilde is the generator in the product basis; C and S hold cosh(r)
-    and sinh(r).
+    Gtilde is the generator in the product basis; S holds sinh(r).
     """
 
     Gtilde: np.ndarray
-    C: np.ndarray
     S: np.ndarray
 
 
@@ -56,13 +57,9 @@ class ResourceTriple:
 
 @dataclass(frozen=True)
 class QfiReport:
-    """QFI with its four-term decomposition, resources, and bound check."""
+    """QFI with the probe's resources and the bound check."""
 
     qfi: float
-    term_squeeze_a: float
-    term_squeeze_b: float
-    term_disp: float
-    term_cross: float
     resources: ResourceTriple
     bound: float
     bound_satisfied: bool
@@ -79,7 +76,7 @@ def build_workspace(d: DisentangledForm, gen: Generator) -> QfiWorkspace:
     _check_dims(d, gen)
     gt = d.V.conj().T @ gen.G @ d.V
     gt = (gt + gt.conj().T) / 2.0
-    return QfiWorkspace(Gtilde=gt, C=np.cosh(d.r), S=np.sinh(d.r))
+    return QfiWorkspace(Gtilde=gt, S=np.sinh(d.r))
 
 
 def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
@@ -87,8 +84,10 @@ def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
 
     N_S counts photons in the signal (nonzero-eigenvalue) modes; the mean
     and variance are moments of the photon distribution over generator
-    eigenvalues, normalized by N_S. A negative variance from rounding is
-    clamped to zero with a warning.
+    eigenvalues, normalized by N_S. The variance is Tr[H^2 rho] / N_S with
+    H = Gtilde - gbar P the mean-removed generator and rho = S^2 +
+    alpha alpha^dag the one-photon density matrix, summed as squared
+    norms, so it is never negative.
     """
     ws = build_workspace(d, gen)
     s2 = ws.S**2
@@ -98,21 +97,13 @@ def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
     )
     if n_signal <= _ZERO_PHOTON_CUTOFF:
         return ResourceTriple(n_signal=0.0, g_mean=0.0, g_var=0.0, well_defined=False)
-    g_alpha = ws.Gtilde @ d.alpha
     first = float(
-        np.real(np.sum(np.diag(ws.Gtilde).real * s2) + d.alpha.conj() @ g_alpha)
-    )
-    second = float(
-        np.real(np.sum(np.sum(np.abs(ws.Gtilde) ** 2, axis=0) * s2) + g_alpha.conj() @ g_alpha)
+        np.real(np.sum(np.diag(ws.Gtilde).real * s2) + d.alpha.conj() @ ws.Gtilde @ d.alpha)
     )
     g_mean = first / n_signal
-    g_var = second / n_signal - g_mean**2
-    if g_var < 0.0:
-        if g_var < -1e-12 * max(1.0, second / n_signal):
-            warnings.warn(
-                f"generator-intensity variance {g_var:.3e} clamped to zero", stacklevel=2
-            )
-        g_var = 0.0
+    h = ws.Gtilde - g_mean * pt
+    g_var = float(np.sum(np.sum(np.abs(h) ** 2, axis=0) * s2) + np.sum(np.abs(h @ d.alpha) ** 2))
+    g_var /= n_signal
     return ResourceTriple(n_signal=n_signal, g_mean=g_mean, g_var=g_var)
 
 
@@ -147,31 +138,29 @@ def qfi_upper_bound_strict(d: DisentangledForm, gen: Generator) -> float:
 def qfi(d: DisentangledForm, gen: Generator) -> QfiReport:
     """Exact QFI of a pure Gaussian probe under exp(-i lambda G).
 
-    The value is independent of the true parameter. The four terms are the
-    squeezing-squeezing, squeezing-number, displacement, and displacement-
-    squeezing cross contributions; the report also carries the resource
-    triple and the bound check.
+    The value is independent of the true parameter. It is evaluated as
+    4 (||W||_F^2 / 2 + ||u||^2) with
+
+        W_ij = Re Gt_ij sinh(r_i + r_j) + i Im Gt_ij sinh(r_j - r_i),
+        u = e^r Re(Gt alpha) + i e^-r Im(Gt alpha),
+
+    the two- and one-quasiparticle amplitudes of (G - <G>) psi. The
+    identities c_i s_j +- c_j s_i = sinh(r_j +- r_i) and c +- s = e^(+-r)
+    leave no difference of large numbers, so equal squeezing under a real
+    rotation gives exactly zero at any r. The report also carries the
+    resource triple and the bound check.
     """
     ws = build_workspace(d, gen)
-    cs = ws.C * ws.S
-    gt = ws.Gtilde
-    # Tr[Gt CS Gt* CS] = sum_ij Gt_ij^2 (cs)_i (cs)_j for Hermitian Gt
-    term_a = float(np.real(np.sum(gt**2 * np.outer(cs, cs))))
-    # Tr[Gt S^2 Gt C^2] = sum_ij |Gt_ij|^2 c_i^2 s_j^2
-    term_b = float(np.real(np.sum(np.abs(gt) ** 2 * np.outer(ws.C**2, ws.S**2))))
+    gt, r = ws.Gtilde, d.r
+    w = gt.real * np.sinh(r[:, None] + r) + 1j * gt.imag * np.sinh(r - r[:, None])
     g_alpha = gt @ d.alpha
-    term_d = float(np.real(np.sum((ws.S**2 + ws.C**2) * np.abs(g_alpha) ** 2)))
-    term_c = float(2.0 * np.real(np.sum(cs * g_alpha * g_alpha)))
-    value = 4.0 * (term_a + term_b + term_d + term_c)
+    u = np.exp(r) * g_alpha.real + 1j * np.exp(-r) * g_alpha.imag
+    value = 4.0 * float(0.5 * np.sum(np.abs(w) ** 2) + np.sum(np.abs(u) ** 2))
     res = resources(d, gen)
     bound = qfi_upper_bound(res)
     satisfied = value <= bound + 1e-9 * max(1.0, bound)
     return QfiReport(
         qfi=value,
-        term_squeeze_a=term_a,
-        term_squeeze_b=term_b,
-        term_disp=term_d,
-        term_cross=term_c,
         resources=res,
         bound=bound,
         bound_satisfied=satisfied,

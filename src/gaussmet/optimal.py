@@ -21,6 +21,7 @@ from . import metrology
 from .errors import (
     ConditionViolatedError,
     DimensionMismatchError,
+    InputError,
     NoIdlerModesError,
     SpectrumUnreachableError,
 )
@@ -51,11 +52,11 @@ class ProbeSpec:
 
     def __post_init__(self):
         if self.kind not in PROBE_KINDS:
-            raise ValueError(f"kind must be one of {PROBE_KINDS}, got {self.kind!r}")
+            raise InputError(f"kind must be one of {PROBE_KINDS}, got {self.kind!r}")
         if not self.n_signal > 0:
-            raise ValueError("n_signal must be positive")
+            raise InputError("n_signal must be positive")
         if self.target_gvar < 0:
-            raise ValueError("target_gvar must be nonnegative")
+            raise InputError("target_gvar must be nonnegative")
 
 
 @dataclass(frozen=True)

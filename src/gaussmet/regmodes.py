@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class RegularizedModePair:
@@ -25,9 +27,9 @@ class RegularizedModePair:
 
     def __post_init__(self):
         if not self.sigma_z > 0:
-            raise ValueError("sigma_z must be positive")
+            raise InputError("sigma_z must be positive")
         if min(self.r) < 0:
-            raise ValueError("squeezing strengths must be nonnegative")
+            raise InputError("squeezing strengths must be nonnegative")
 
 
 def reg_mode_function(

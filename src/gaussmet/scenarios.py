@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measurement, metrology, optimal
-from .errors import GridTooCoarseError, RegularizationPoorError, RegularizationWarning
+from .errors import GridTooCoarseError, InputError, RegularizationPoorError, RegularizationWarning
 from .gaussian import DisentangledForm
 from .generator import DiscretizationGrid, Generator, from_matrix
 from .metrology import ResourceTriple
@@ -52,9 +52,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
+            raise InputError(f"kind must be one of {SCENARIO_KINDS}")
         if not self.n_signal > 0:
-            raise ValueError("n_signal must be positive")
+            raise InputError("n_signal must be positive")
 
 
 def mode_overlap(pair: RegularizedModePair, grid: DiscretizationGrid) -> complex:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import focksim, metrology
-from .errors import TailTooLargeError
+from .errors import InputError, TailTooLargeError
 from .gaussian import DisentangledForm
 from .generator import Generator, from_matrix
 
@@ -26,6 +26,11 @@ class SuiteReport:
     trials: int
     passed: bool
     summary: str
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError(f"trial count must be at least 1, got {trials}")
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -48,6 +53,7 @@ def random_state(rng: np.random.Generator, m: int, r_max: float = 2.0,
 
 def suite_bound(trials: int, seed: int) -> SuiteReport:
     """QFI never exceeds the resource bound on random states/generators."""
+    _require_trials(trials)
     margins = []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
@@ -85,6 +91,7 @@ def random_small_state(rng: np.random.Generator, m: int) -> DisentangledForm:
 
 def suite_oracle(trials: int, seed: int) -> SuiteReport:
     """Gaussian engine agrees with the truncated Fock oracle."""
+    _require_trials(trials)
     devs, over_tail = [], []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
@@ -114,6 +121,7 @@ def suite_oracle(trials: int, seed: int) -> SuiteReport:
 
 def suite_lemma2(trials: int, seed: int) -> SuiteReport:
     """The trace inequality holds on random Hermitian/PSD pairs."""
+    _require_trials(trials)
     gaps = []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)

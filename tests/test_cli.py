@@ -153,6 +153,27 @@ def test_verify_rejects_trial_count_below_one(trials, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, extra, code",
+    [
+        ("homodyne", ["--eta", "0"], 3),
+        ("build-state", ["--kind", "optimal", "--ns", "-1"], 3),
+        ("build-state", ["--kind", "optimal", "--ns", "2", "--angles", "x"], 2),
+        ("homodyne", ["--phases", "a,b"], 2),
+        ("homodyne", ["--modes", "0,x"], 2),
+    ],
+)
+def test_bad_input_exit_code_without_traceback(fixture_paths, capsys, command, extra, code):
+    state_path, gen_path, tmp_path = fixture_paths
+    out = tmp_path / "never.json"
+    files = {"homodyne": ["--state", state_path], "build-state": ["--out", str(out)]}[command]
+    assert cli.run([command, "--generator", gen_path] + files + extra) == code
+    captured = capsys.readouterr()
+    assert ("usage error" if code == 2 else "error:") in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_determinism_byte_identical(fixture_paths, capsys):
     state_path, gen_path, _ = fixture_paths
     argv = [

@@ -224,6 +224,12 @@ def test_verify_suite_reproducible():
     assert report1.summary == report2.summary
 
 
+@pytest.mark.parametrize("suite", [verify.suite_bound, verify.suite_oracle, verify.suite_lemma2])
+def test_verify_suites_reject_trial_count_below_one(suite):
+    with pytest.raises(InputError):
+        suite(0, 1)
+
+
 def test_verify_oracle_counts_over_tail_trial_as_failed(monkeypatch):
     # cutoff 1 leaves more than tail_tol outside N <= cutoff for every draw
     monkeypatch.setattr(verify, "_oracle_cutoff", lambda m: 1)

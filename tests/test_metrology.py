@@ -1,5 +1,10 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmet import generator, metrology, scenarios
 from gaussmet.errors import DimensionMismatchError, FitIllConditionedError, NotPSDError
@@ -65,18 +70,137 @@ def test_qfi_vacuum_zero():
     assert metrology.qfi(d, GEN13).qfi == 0.0
 
 
-def test_qfi_term_sum_identity():
+def test_qfi_nonnegative_random():
     rng = np.random.default_rng(31)
     for _ in range(25):
         m = int(rng.integers(1, 9))
         gen = generator.from_matrix(random_hermitian(rng, m))
         d = random_state(rng, m)
-        rep = metrology.qfi(d, gen)
-        total = 4.0 * (
-            rep.term_squeeze_a + rep.term_squeeze_b + rep.term_disp + rep.term_cross
+        assert metrology.qfi(d, gen).qfi >= 0.0
+
+
+ROTATION = generator.from_matrix(np.array([[0.0, 1j], [-1j, 0.0]]))
+
+
+def _squeezed_pair(r1, r2):
+    return DisentangledForm(
+        V=np.eye(2, dtype=complex), alpha=np.zeros(2, complex), r=np.array([r1, r2])
+    )
+
+
+@pytest.mark.parametrize("r", [1.0, 5.0, 10.0, 15.0])
+def test_qfi_equal_squeezing_rotation_exactly_zero(r):
+    # a real rotation maps two equally squeezed vacua onto themselves
+    assert metrology.qfi(_squeezed_pair(r, r), ROTATION).qfi == 0.0
+
+
+@pytest.mark.parametrize("r", [5.0, 10.0, 15.0])
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0])
+def test_qfi_unequal_squeezing_rotation(r, delta):
+    # the rotation only sees the squeezing difference: 4 sinh^2(delta)
+    report = metrology.qfi(_squeezed_pair(r, r + delta), ROTATION)
+    assert report.qfi == pytest.approx(4.0 * np.sinh(delta) ** 2, rel=1e-10)
+    assert report.bound_satisfied
+
+
+def _mp_wick_qfi(v, alpha, r, g):
+    """4 Var(G) of V [prod_k D(alpha_k) S(r_k)] |0> at 50 digits.
+
+    Wick moments in the mode basis: n = <da^dag da>, m = <da da> and the
+    mean field beta = V alpha; the quadratic and linear parts of G are
+    uncorrelated because odd fluctuation moments vanish.
+    """
+    with mpmath.workdps(50):
+        v, g = mpmath.matrix(v.tolist()), mpmath.matrix(g.tolist())
+        size = len(r)
+        sh = [mpmath.sinh(mpmath.mpf(x)) for x in r]
+        ch = [mpmath.cosh(mpmath.mpf(x)) for x in r]
+        n, m = mpmath.zeros(size), mpmath.zeros(size)
+        for k in range(size):
+            for l in range(size):
+                n[k, l] = sum(mpmath.conj(v[k, j]) * sh[j] ** 2 * v[l, j] for j in range(size))
+                m[k, l] = sum(v[k, j] * sh[j] * ch[j] * v[l, j] for j in range(size))
+        beta = v * mpmath.matrix([complex(a) for a in alpha])
+
+        def esum(a, b):
+            return sum(a[k, l] * b[k, l] for k in range(size) for l in range(size))
+
+        m_conj = mpmath.matrix([[mpmath.conj(m[k, l]) for l in range(size)] for k in range(size)])
+        quad = esum(g * g, n) + esum(n, g * n.T * g) + esum(m_conj, g * m * g.T)
+        u = g.T * mpmath.matrix([mpmath.conj(b) for b in beta])
+        u_conj = mpmath.matrix([mpmath.conj(x) for x in u])
+        lin = (
+            2 * mpmath.re((u.T * m * u)[0])
+            + (u_conj.T * u)[0]
+            + 2 * mpmath.re((u_conj.T * n * u)[0])
         )
-        assert abs(rep.qfi - total) <= 1e-9 * (1.0 + abs(rep.qfi))
-        assert rep.qfi >= -1e-9
+        return float(4 * mpmath.re(quad + lin))
+
+
+def test_qfi_matches_50_digit_wick_reference_at_high_squeezing():
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        m = int(rng.integers(2, 5))
+        h = random_hermitian(rng, m)
+        d = DisentangledForm(
+            V=random_unitary(rng, m),
+            alpha=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+            r=rng.uniform(8.0, 15.0, m),
+        )
+        exact = _mp_wick_qfi(d.V, d.alpha, d.r, h)
+        assert metrology.qfi(d, generator.from_matrix(h)).qfi == pytest.approx(exact, rel=1e-10)
+
+
+_random_probe = {
+    "m": st.integers(1, 6),
+    "seed": st.integers(0, 2**32 - 1),
+    "r_max": st.floats(0.0, 15.0),
+    "alpha_scale": st.floats(0.0, 3.0),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(**_random_probe)
+def test_qfi_between_zero_and_bound(m, seed, r_max, alpha_scale):
+    rng = np.random.default_rng(seed)
+    gen = generator.from_matrix(random_hermitian(rng, m))
+    d = random_state(rng, m, r_max=r_max, alpha_scale=alpha_scale)
+    report = metrology.qfi(d, gen)
+    assert report.qfi >= 0.0
+    if report.resources.well_defined:
+        assert report.qfi <= report.bound * (1.0 + 1e-9)
+    else:
+        # below the zero-photon cutoff the bound reads 0; the check keeps
+        # its absolute 1e-9 slack
+        assert report.bound == 0.0 and report.bound_satisfied
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(**_random_probe)
+def test_qfi_invariant_under_mode_basis_change(m, seed, r_max, alpha_scale):
+    rng = np.random.default_rng(seed)
+    gen = generator.from_matrix(random_hermitian(rng, m))
+    d = random_state(rng, m, r_max=r_max, alpha_scale=alpha_scale)
+    w = random_unitary(rng, m)
+    gen_rot = generator.from_matrix(w @ gen.G @ w.conj().T)
+    d_rot = DisentangledForm(V=w @ d.V, alpha=d.alpha, r=d.r)
+    value, value_rot = metrology.qfi(d, gen).qfi, metrology.qfi(d_rot, gen_rot).qfi
+    assert abs(value - value_rot) <= 1e-9 * max(1.0, value)
+
+
+def test_resources_variance_nonnegative_for_uniform_generator():
+    # G = 3 I puts every photon at the same eigenvalue: the spread is zero
+    gen = generator.from_matrix(3.0 * np.eye(4, dtype=complex))
+    rng = np.random.default_rng(74)
+    for r_max in (1.0, 5.0, 10.0, 15.0):
+        for _ in range(10):
+            d = random_state(rng, 4, r_max=r_max)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = metrology.resources(d, gen)
+            assert res.g_var >= 0.0
+            assert res.g_var <= 1e-20
+            assert res.g_mean == pytest.approx(3.0, rel=1e-12)
 
 
 def test_qfi_dimension_mismatch():
