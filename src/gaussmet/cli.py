@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -199,9 +198,7 @@ def _cmd_scenario(args) -> int:
     cfg = jsonio.scenario_config_from_dict(
         jsonio.load_json(args.config), kind=_SCENARIO_KINDS[args.kind]
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=UserWarning)
-        rows = scenarios.run_scenario(cfg)
+    rows = scenarios.run_scenario(cfg)
     sig = _sig_digits(args)
     columns = [
         "probe_kind", "n_signal", "g_mean", "g_sd", "eta",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError, InputError
 
 _UNITARY_TOL = 1e-10
 
@@ -60,13 +60,13 @@ class DisentangledForm:
         if v.shape != (m, m):
             raise DimensionMismatchError("V must be square")
         if matkernel.max_norm(v.conj().T @ v - np.eye(m)) > _UNITARY_TOL * m:
-            raise NonFiniteError("V is not unitary within tolerance")
+            raise InputError("V is not unitary within tolerance")
         alpha = matkernel.require_finite(np.asarray(self.alpha, dtype=complex), "alpha")
         r = np.asarray(self.r, dtype=float)
         if alpha.shape != (m,) or r.shape != (m,):
             raise DimensionMismatchError("alpha and r must have length n_modes")
         if np.any(r < -1e-12):
-            raise NonFiniteError("squeezing magnitudes must be nonnegative")
+            raise InputError("squeezing magnitudes must be nonnegative")
         object.__setattr__(self, "V", v)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "r", np.maximum(r, 0.0))

@@ -1,4 +1,4 @@
-"""JSON schemas for states, generators, grids, probe specs, and reports.
+"""JSON schemas for states, generators, scenario configs, and reports.
 
 Complex numbers are two-element [re, im] arrays. Files round-trip
 bit-exactly (floats are written with shortest-round-trip precision);
@@ -12,10 +12,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InputError
+from .errors import GaussmetError, InputError
 from .gaussian import GaussianPureState
-from .generator import DiscretizationGrid, Generator, from_matrix
-from .measurement import HomodyneResult, HomodyneSetup
+from .generator import Generator, from_matrix
+from .measurement import HomodyneResult
 from .metrology import QfiReport, ResourceTriple
 from .regmodes import RegularizedModePair
 from .scenarios import ScenarioConfig
@@ -73,11 +73,13 @@ def state_from_dict(obj: dict) -> GaussianPureState:
         beta = _parse_vec(obj["beta"], "beta")
         f = _parse_mat(obj["f"], "f")
         label = str(obj.get("basis_label", "a"))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"state file missing field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid state field: {exc}") from exc
     try:
         return GaussianPureState(n_modes=n_modes, beta=beta, f=f, basis_label=label)
-    except Exception as exc:
+    except GaussmetError as exc:
         raise InputError(f"invalid state: {exc}") from exc
 
 
@@ -88,27 +90,15 @@ def generator_to_dict(gen: Generator) -> dict:
 def generator_from_dict(obj: dict) -> Generator:
     try:
         g = _parse_mat(obj["G"], "G")
+        tol = float(obj.get("signal_tol", 1e-12))
     except KeyError as exc:
         raise InputError("generator file missing field 'G'") from exc
-    tol = float(obj.get("signal_tol", 1e-12))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid generator field: {exc}") from exc
     try:
         return from_matrix(g, signal_tol=tol)
-    except Exception as exc:
+    except GaussmetError as exc:
         raise InputError(f"invalid generator: {exc}") from exc
-
-
-def grid_from_dict(obj: dict) -> DiscretizationGrid:
-    try:
-        return DiscretizationGrid(
-            z_min=float(obj["z_min"]),
-            z_max=float(obj["z_max"]),
-            n_bins=int(obj["n_bins"]),
-            p_min=float(obj["p_min"]) if "p_min" in obj else None,
-        )
-    except KeyError as exc:
-        raise InputError(f"grid missing field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid grid: {exc}") from exc
 
 
 def resources_to_dict(res: ResourceTriple) -> dict:
@@ -162,22 +152,6 @@ def scenario_config_from_dict(obj: dict, kind: str | None = None) -> ScenarioCon
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid scenario config: {exc}") from exc
-
-
-def homodyne_setup_from_dict(obj: dict) -> HomodyneSetup:
-    try:
-        phases = obj.get("phases", "auto")
-        if phases != "auto":
-            phases = tuple(float(p) for p in phases)
-        return HomodyneSetup(
-            mode_indices=tuple(int(i) for i in obj["mode_indices"]),
-            phases=phases,
-            eta=float(obj.get("eta", 1.0)),
-            sigma_env_sq=float(obj.get("sigma_env_sq", 1.0)),
-            true_param=float(obj.get("true_param", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid homodyne setup: {exc}") from exc
 
 
 def round_floats(obj: Any, sig_digits: int) -> Any:

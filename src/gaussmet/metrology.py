@@ -27,8 +27,6 @@ from .errors import DimensionMismatchError, FitIllConditionedError, NotPSDError
 from .gaussian import DisentangledForm
 from .generator import Generator, signal_projector
 
-_ZERO_PHOTON_CUTOFF = 1e-14
-
 
 @dataclass(frozen=True)
 class QfiWorkspace:
@@ -84,18 +82,17 @@ def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
 
     N_S counts photons in the signal (nonzero-eigenvalue) modes; the mean
     and variance are moments of the photon distribution over generator
-    eigenvalues, normalized by N_S. The variance is Tr[H^2 rho] / N_S with
-    H = Gtilde - gbar P the mean-removed generator and rho = S^2 +
-    alpha alpha^dag the one-photon density matrix, summed as squared
-    norms, so it is never negative.
+    eigenvalues, normalized by N_S. With rho = S^2 + alpha alpha^dag the
+    one-photon density matrix, N_S = Tr[P^2 rho] for the signal projector
+    P and the variance is Tr[H^2 rho] / N_S for the mean-removed generator
+    H = Gtilde - gbar P; both are summed as squared norms, so neither is
+    negative, and the resources are undefined only when N_S is exactly 0.
     """
     ws = build_workspace(d, gen)
     s2 = ws.S**2
     pt = d.V.conj().T @ signal_projector(gen) @ d.V
-    n_signal = float(
-        np.real(np.sum(np.diag(pt).real * s2) + d.alpha.conj() @ pt @ d.alpha)
-    )
-    if n_signal <= _ZERO_PHOTON_CUTOFF:
+    n_signal = float(np.sum(np.sum(np.abs(pt) ** 2, axis=0) * s2) + np.sum(np.abs(pt @ d.alpha) ** 2))
+    if n_signal == 0.0:
         return ResourceTriple(n_signal=0.0, g_mean=0.0, g_var=0.0, well_defined=False)
     first = float(
         np.real(np.sum(np.diag(ws.Gtilde).real * s2) + d.alpha.conj() @ ws.Gtilde @ d.alpha)

@@ -67,10 +67,6 @@ class ProbeResult:
     predicted_qfi: float
 
 
-def _two_mode_squeezed_qfi(g_i: float, si2: float, g_j: float, sj2: float) -> float:
-    return 8.0 * (g_i**2 * si2 * (si2 + 1.0) + g_j**2 * sj2 * (sj2 + 1.0))
-
-
 def _nearest_signal_index(gen: Generator, value: float, taken: set[int]) -> int:
     g = gen.eig.eigvals
     order = np.argsort(np.abs(g - value), kind="stable")
@@ -100,18 +96,60 @@ def _complete_unitary(v: np.ndarray) -> np.ndarray:
     return q
 
 
-def _eigen_matched_pair(
-    spec: ProbeSpec, gen: Generator, si2: float, sj2: float
-) -> tuple[int, int, float]:
-    """Pick spectrum indices for the required eigenvalues and the residual."""
+# number of mode_choice indices each kind takes; the idler-assisted probe
+# names (signal i, idler of i, signal j, idler of j), the others two modes
+_MODE_COUNTS = {"mean_optimal": 1, "idler_assisted": 4}
+
+
+def _checked_modes(spec: ProbeSpec, m: int) -> tuple[int, ...] | None:
+    modes = spec.mode_choice
+    if modes is None and spec.kind == "derivative_displaced":
+        modes = (0, 1)  # the derivative-displaced probe defaults to basis modes 0, 1
+    if modes is None:
+        return None
+    modes = tuple(int(k) for k in modes)
+    count = _MODE_COUNTS.get(spec.kind, 2)
+    if len(modes) != count or len(set(modes)) != count or min(modes) < 0 or max(modes) >= m:
+        raise InputError(
+            f"{spec.kind} needs {count} distinct mode indices in [0, {m}), got {modes}"
+        )
+    return modes
+
+
+def _pair_split(spec: ProbeSpec) -> tuple[float, float, float, float]:
+    """Photon split (si2, sj2) of a two-mode probe and its matched eigenvalues.
+
+    The variance-optimal probe halves N; the others weight the pair by
+    q = gbar / sqrt(gbar^2 + dg^2). The eigenvalues gbar - dg sqrt(sj2/si2)
+    and gbar + dg sqrt(si2/sj2) give the pair the target mean and spread.
+    """
     gbar, dg = spec.target_gmean, np.sqrt(spec.target_gvar)
-    want_i = gbar - dg * np.sqrt(sj2 / si2)
-    want_j = gbar + dg * np.sqrt(si2 / sj2)
-    if spec.mode_choice is not None:
-        i, j = int(spec.mode_choice[0]), int(spec.mode_choice[1])
-        if i == j:
-            raise ValueError("two-mode probes need two distinct mode indices")
+    if spec.kind == "variance_optimal":
+        si2 = sj2 = 0.5 * spec.n_signal
     else:
+        q = gbar / np.hypot(gbar, dg)
+        si2 = 0.5 * spec.n_signal * (1.0 - q)
+        sj2 = 0.5 * spec.n_signal * (1.0 + q)
+    return si2, sj2, gbar - dg * np.sqrt(sj2 / si2), gbar + dg * np.sqrt(si2 / sj2)
+
+
+def _build_two_mode(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...] | None) -> ProbeResult:
+    """Squeeze the eigenmodes matched to the pair's eigenvalues.
+
+    The idler-assisted kind sends each of them through a zero-phase 50:50
+    beamsplitter with an idler. With equal squeezing angles inside a pair
+    the beamsplitter leaves the pair's squeezing matrix invariant, which
+    keeps the QFI and resources those of the idler-less probe (an angle
+    offset of pi would entangle the pair and halve the leading term).
+    """
+    si2, sj2, want_i, want_j = _pair_split(spec)
+    with_idlers = spec.kind == "idler_assisted"
+    if modes is not None:
+        (i, j), idlers = (modes[::2], modes[1::2]) if with_idlers else (modes, ())
+    else:
+        idlers = tuple(gen.idler_indices[:2]) if with_idlers else ()
+        if with_idlers and len(idlers) < 2:
+            raise NoIdlerModesError("generator provides fewer than two idler modes")
         i = _nearest_signal_index(gen, want_i, set())
         j = _nearest_signal_index(gen, want_j, {i})
     g = gen.eig.eigvals
@@ -120,39 +158,30 @@ def _eigen_matched_pair(
         raise SpectrumUnreachableError(
             f"eigenvalue residual {residual:.3e} exceeds tolerance {spec.spectrum_tol:.3e}"
         )
-    return i, j, residual
-
-
-def _optimal_split(spec: ProbeSpec) -> tuple[float, float]:
-    gbar, dg = spec.target_gmean, np.sqrt(spec.target_gvar)
-    q = gbar / np.hypot(gbar, dg)
-    si2 = 0.5 * spec.n_signal * (1.0 - q)
-    sj2 = 0.5 * spec.n_signal * (1.0 + q)
-    return si2, sj2
-
-
-def _build_two_mode(
-    spec: ProbeSpec, gen: Generator, si2: float, sj2: float
-) -> ProbeResult:
-    i, j, residual = _eigen_matched_pair(spec, gen, si2, sj2)
     m = gen.n_modes
     r = np.zeros(m)
     r[i] = np.arcsinh(np.sqrt(si2))
     r[j] = np.arcsinh(np.sqrt(sj2))
     phases = {i: spec.squeeze_angles[0], j: spec.squeeze_angles[1]}
-    v = gen.eig.U @ _phase_diag(m, phases)
-    state = DisentangledForm(V=v, alpha=np.zeros(m, dtype=complex), r=r)
-    g = gen.eig.eigvals
-    predicted = _two_mode_squeezed_qfi(g[i], si2, g[j], sj2)
+    v = gen.eig.U
+    if with_idlers:
+        bs = np.eye(m, dtype=complex)
+        c = 1.0 / np.sqrt(2.0)
+        for a, b in zip((i, j), idlers):
+            bs[a, a] = bs[b, a] = bs[b, b] = c
+            bs[a, b] = -c
+            r[b], phases[b] = r[a], phases[a]
+        v = v @ bs
+    state = DisentangledForm(V=v @ _phase_diag(m, phases), alpha=np.zeros(m, dtype=complex), r=r)
     return ProbeResult(
         state=state,
         achieved=metrology.resources(state, gen),
         eigen_residual=residual,
-        predicted_qfi=predicted,
+        predicted_qfi=8.0 * (g[i] ** 2 * si2 * (si2 + 1.0) + g[j] ** 2 * sj2 * (sj2 + 1.0)),
     )
 
 
-def _build_mean_optimal(spec: ProbeSpec, gen: Generator) -> ProbeResult:
+def _build_mean_optimal(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...] | None) -> ProbeResult:
     m = gen.n_modes
     if spec.mode_vector is not None:
         vec = np.asarray(spec.mode_vector, dtype=complex)
@@ -161,10 +190,7 @@ def _build_mean_optimal(spec: ProbeSpec, gen: Generator) -> ProbeResult:
         vec = vec / np.linalg.norm(vec)
         v = _complete_unitary(vec)
     else:
-        if spec.mode_choice is not None:
-            idx = int(spec.mode_choice[0])
-        else:
-            idx = int(np.argmax(np.abs(gen.eig.eigvals)))
+        idx = modes[0] if modes is not None else int(np.argmax(np.abs(gen.eig.eigvals)))
         cols = [idx] + [k for k in range(m) if k != idx]
         v = gen.eig.U[:, cols]
     v = v @ _phase_diag(m, {0: spec.squeeze_angles[0]})
@@ -180,9 +206,9 @@ def _build_mean_optimal(spec: ProbeSpec, gen: Generator) -> ProbeResult:
     )
 
 
-def _build_derivative_displaced(spec: ProbeSpec, gen: Generator) -> ProbeResult:
+def _build_derivative_displaced(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...]) -> ProbeResult:
     m = gen.n_modes
-    i, j = (0, 1) if spec.mode_choice is None else tuple(spec.mode_choice[:2])
+    i, j = modes
     g_mat = gen.G
     scale = max(1.0, float(np.max(np.abs(g_mat))))
     off_support = [abs(g_mat[k, i]) for k in range(m) if k not in (i, j)]
@@ -222,78 +248,23 @@ def _build_derivative_displaced(spec: ProbeSpec, gen: Generator) -> ProbeResult:
     )
 
 
-def _build_idler_assisted(spec: ProbeSpec, gen: Generator) -> ProbeResult:
-    m = gen.n_modes
-    si2, sj2 = _optimal_split(spec)
-    if spec.mode_choice is not None:
-        i, i_idl, j, j_idl = (int(k) for k in spec.mode_choice)
-        g = gen.eig.eigvals
-        gbar, dg = spec.target_gmean, np.sqrt(spec.target_gvar)
-        residual = max(
-            abs(g[i] - (gbar - dg * np.sqrt(sj2 / si2))),
-            abs(g[j] - (gbar + dg * np.sqrt(si2 / sj2))),
-        )
-    else:
-        idlers = gen.idler_indices
-        if len(idlers) < 2:
-            raise NoIdlerModesError("generator provides fewer than two idler modes")
-        i_idl, j_idl = int(idlers[0]), int(idlers[1])
-        i, j, residual = _eigen_matched_pair(spec, gen, si2, sj2)
-    if residual > spec.spectrum_tol:
-        raise SpectrumUnreachableError(
-            f"eigenvalue residual {residual:.3e} exceeds tolerance {spec.spectrum_tol:.3e}"
-        )
-    # zero-phase 50:50 beamsplitters pair each signal mode with its idler;
-    # with equal squeezing angles inside a pair, the beamsplitter leaves
-    # the pair's squeezing matrix invariant, which is what keeps the QFI
-    # and resource structure identical to the idler-less probe (an angle
-    # offset of pi would entangle the pair and halve the leading term)
-    bs = np.eye(m, dtype=complex)
-    for a, b in ((i, i_idl), (j, j_idl)):
-        c = 1.0 / np.sqrt(2.0)
-        bs[a, a] = c
-        bs[a, b] = -c
-        bs[b, a] = c
-        bs[b, b] = c
-    phases = {
-        i: spec.squeeze_angles[0],
-        i_idl: spec.squeeze_angles[0],
-        j: spec.squeeze_angles[1],
-        j_idl: spec.squeeze_angles[1],
-    }
-    v = gen.eig.U @ bs @ _phase_diag(m, phases)
-    r = np.zeros(m)
-    r[i] = r[i_idl] = np.arcsinh(np.sqrt(si2))
-    r[j] = r[j_idl] = np.arcsinh(np.sqrt(sj2))
-    state = DisentangledForm(V=v, alpha=np.zeros(m, dtype=complex), r=r)
-    g = gen.eig.eigvals
-    predicted = _two_mode_squeezed_qfi(g[i], si2, g[j], sj2)
-    return ProbeResult(
-        state=state,
-        achieved=metrology.resources(state, gen),
-        eigen_residual=residual,
-        predicted_qfi=predicted,
-    )
-
-
 def build_probe(spec: ProbeSpec, gen: Generator) -> ProbeResult:
     """Build the requested probe against a generator's spectrum.
 
     Eigenvalue matching is nearest-neighbor with ties toward the smaller
     index; the residual is reported so callers on coarse spectra can
     refine. A vanishing spread target degenerates the optimal kind to the
-    single-mode mean-optimal construction.
+    single-mode mean-optimal construction. An explicit ``mode_choice``
+    holds one index for the mean-optimal kind, four (signal, idler,
+    signal, idler) for the idler-assisted kind and two for the others.
+    The indices count generator eigenmodes in ascending eigenvalue order,
+    except for the derivative-displaced kind, whose two indices (default
+    0, 1) are basis modes of G. They must be distinct and in range, else
+    InputError.
     """
-    if spec.kind == "optimal":
-        if spec.target_gvar <= 1e-24:
-            return _build_mean_optimal(spec, gen)
-        si2, sj2 = _optimal_split(spec)
-        return _build_two_mode(spec, gen, si2, sj2)
-    if spec.kind == "variance_optimal":
-        half = 0.5 * spec.n_signal
-        return _build_two_mode(spec, gen, half, half)
-    if spec.kind == "mean_optimal":
-        return _build_mean_optimal(spec, gen)
+    modes = _checked_modes(spec, gen.n_modes)
+    if spec.kind == "mean_optimal" or (spec.kind == "optimal" and spec.target_gvar <= 1e-24):
+        return _build_mean_optimal(spec, gen, modes)
     if spec.kind == "derivative_displaced":
-        return _build_derivative_displaced(spec, gen)
-    return _build_idler_assisted(spec, gen)
+        return _build_derivative_displaced(spec, gen, modes)
+    return _build_two_mode(spec, gen, modes)

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measurement, metrology, optimal
-from .errors import GridTooCoarseError, InputError, RegularizationPoorError, RegularizationWarning
+from .errors import (
+    ConditionNotVerifiedWarning,
+    GaussmetError,
+    GridTooCoarseError,
+    InputError,
+    RegularizationPoorError,
+    RegularizationWarning,
+)
 from .gaussian import DisentangledForm
 from .generator import DiscretizationGrid, Generator, from_matrix
 from .metrology import ResourceTriple
@@ -133,11 +140,13 @@ def build_regularized_probe(
 
     Modes are ordered (Schmidt-0a, Schmidt-0b, plus-1, minus-1, plus-2,
     minus-2, ...): the two populated Schmidt modes first, then the higher
-    Gaussian-family levels they couple to. The generator matrix carries
-    the Schmidt mixing angle on the lowest level; higher levels keep the
-    plain ladder structure. Estimating the dual-domain parameters (a
-    frequency shift on a time-separated pair, a tilt on a position-
-    separated pair) swaps the roles of the pair's z and p parameters.
+    Gaussian-family levels they couple to. The generator is the plain
+    two-family ladder g0 rotated by the Schmidt mixing angle chi on the
+    populated pair: g = O g0 O^T, with O the rotation by chi on modes 0
+    and 1 and the identity elsewhere. Estimating the dual-domain
+    parameters (a frequency shift on a time-separated pair, a tilt on a
+    position-separated pair) swaps the roles of the pair's z and p
+    parameters.
     """
     if n_hg_levels < 2:
         raise ValueError("need at least two Gaussian-family levels")
@@ -176,39 +185,19 @@ def build_regularized_probe(
         r_modes = (r_plus, r_minus)
 
     m = 2 * n_hg_levels
-    p_plus, p_minus = pair.center_p
-    g = np.zeros((m, m), dtype=complex)
-    cos_c, sin_c = np.cos(chi), np.sin(chi)
-    g[0, 0] = p_plus * cos_c**2 + p_minus * sin_c**2
-    g[1, 1] = p_minus * cos_c**2 + p_plus * sin_c**2
-    g[0, 1] = g[1, 0] = (p_plus - p_minus) * cos_c * sin_c
-    lad0 = _ladder_coupling(0, pair.sigma_z)
-    g[2, 0] = lad0 * cos_c
-    g[2, 1] = lad0 * sin_c
-    g[3, 0] = -lad0 * sin_c
-    g[3, 1] = lad0 * cos_c
-    g[0, 2] = np.conj(g[2, 0])
-    g[1, 2] = np.conj(g[2, 1])
-    g[0, 3] = np.conj(g[3, 0])
-    g[1, 3] = np.conj(g[3, 1])
-    for level in range(1, n_hg_levels):
-        g[2 * level, 2 * level] = p_plus
-        g[2 * level + 1, 2 * level + 1] = p_minus
-        if level + 1 < n_hg_levels:
-            lad = _ladder_coupling(level, pair.sigma_z)
-            g[2 * level + 2, 2 * level] = lad
-            g[2 * level, 2 * level + 2] = np.conj(lad)
-            g[2 * level + 3, 2 * level + 1] = lad
-            g[2 * level + 1, 2 * level + 3] = np.conj(lad)
+    g = np.diag(np.tile(np.asarray(pair.center_p, dtype=complex), n_hg_levels))
+    for k in range(m - 2):
+        g[k + 2, k] = _ladder_coupling(k // 2, pair.sigma_z)
+        g[k, k + 2] = np.conj(g[k + 2, k])
+    rot = np.eye(m)
+    rot[:2, :2] = [[np.cos(chi), -np.sin(chi)], [np.sin(chi), np.cos(chi)]]
+    g = rot @ g @ rot.T
     gen = from_matrix(
         cfg.physical_scale * g,
         basis_label="schmidt",
         meta={"kind": cfg.kind, "overlap": overlap, "chi": chi},
     )
-    phases = np.ones(m, dtype=complex)
-    for level in range(n_hg_levels):
-        phases[2 * level] = np.exp(-1j * pair.theta[0])
-        phases[2 * level + 1] = np.exp(-1j * pair.theta[1])
+    phases = np.tile(np.exp(-1j * np.asarray(pair.theta)), n_hg_levels)
     r_vec = np.zeros(m)
     r_vec[0], r_vec[1] = r_modes
     state = DisentangledForm(V=np.diag(phases), alpha=np.zeros(m, dtype=complex), r=r_vec)
@@ -251,48 +240,33 @@ def _scenario_targets(cfg: ScenarioConfig) -> tuple[float, float]:
     return float(gbar), float(dg)
 
 
-def _coherent_probe(n_signal: float, gbar: float, dg: float):
-    gen = from_matrix(np.diag([gbar - dg, gbar + dg]).astype(complex))
-    amp = np.sqrt(n_signal / 2.0)
-    state = DisentangledForm(
-        V=np.eye(2, dtype=complex), alpha=np.array([amp, amp], complex), r=np.zeros(2)
-    )
-    return state, gen
-
-
 def table_probe(kind: str, n_signal: float, gbar: float, dg: float):
     """Ideal probe of one table family at exactly the given resources.
 
     Returns (state, generator); each family gets the smallest generator
     whose spectrum realizes the required eigenvalues exactly.
     """
-    if kind == "coherent":
-        return _coherent_probe(n_signal, gbar, dg)
     if kind == "derivative_displaced":
         gen = from_matrix(np.array([[gbar, 1j * dg], [-1j * dg, gbar]], dtype=complex))
         spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal)
         return optimal.build_probe(spec, gen).state, gen
-    if kind == "mean_optimal":
+    if kind in ("coherent", "mean_optimal"):
         gen = from_matrix(np.diag([gbar - dg, gbar + dg]).astype(complex))
+        if kind == "coherent":
+            amp = np.sqrt(n_signal / 2.0)
+            alpha = np.array([amp, amp], complex)
+            return DisentangledForm(V=np.eye(2, dtype=complex), alpha=alpha, r=np.zeros(2)), gen
+        # squeeze the equal superposition of the two eigenmodes
         spec = optimal.ProbeSpec(
-            kind=kind,
-            n_signal=n_signal,
-            mode_vector=np.array([1.0, 1.0], complex) / np.sqrt(2.0),
+            kind=kind, n_signal=n_signal, mode_vector=np.array([1.0, 1.0], complex) / np.sqrt(2.0)
         )
         return optimal.build_probe(spec, gen).state, gen
     spec = optimal.ProbeSpec(
         kind=kind, n_signal=n_signal, target_gmean=gbar, target_gvar=dg**2
     )
-    if kind == "optimal":
-        q = gbar / np.hypot(gbar, dg)
-        si2 = 0.5 * n_signal * (1.0 - q)
-        sj2 = 0.5 * n_signal * (1.0 + q)
-        eigs = [gbar - dg * np.sqrt(sj2 / si2), gbar + dg * np.sqrt(si2 / sj2)]
-    elif kind == "variance_optimal":
-        eigs = [gbar - dg, gbar + dg]
-    else:
+    if kind not in ("optimal", "variance_optimal"):
         raise ValueError(f"unknown probe family {kind!r}")
-    gen = from_matrix(np.diag(eigs).astype(complex))
+    gen = from_matrix(np.diag(optimal._pair_split(spec)[2:]).astype(complex))
     return optimal.build_probe(spec, gen).state, gen
 
 
@@ -305,8 +279,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     One row per (probe kind, signal photon number, transmissivity):
     engine QFI, resource bound, auto-phase homodyne FI at the given
     transmissivity, and direct-detection FI. Homodyne entries are NaN for
-    families the eigenmode homodyne formulas do not cover (displaced or
-    off-eigenbasis probes).
+    probes with no squeezed mode and for families the eigenmode homodyne
+    formulas do not cover (displaced or off-eigenbasis probes).
     """
     gbar, dg = _scenario_targets(cfg)
     ns_values = cfg.sweep.get("n_signal", [cfg.n_signal])
@@ -318,22 +292,19 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
             report = metrology.qfi(state, gen)
             try:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", category=UserWarning)
+                    warnings.simplefilter("ignore", category=ConditionNotVerifiedWarning)
                     direct = measurement.direct_detection_fi(state, gen)
-            except Exception:
+            except GaussmetError:
                 direct = float("nan")
+            modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])
             for eta in etas:
-                modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])
-                try:
-                    if not modes:
-                        raise ValueError("no squeezed modes to homodyne")
-                    hom = measurement.homodyne_fi(
-                        state,
-                        gen,
-                        measurement.HomodyneSetup(mode_indices=modes, eta=float(eta)),
-                    ).fi
-                except Exception:
-                    hom = float("nan")
+                hom = float("nan")
+                if modes:
+                    setup = measurement.HomodyneSetup(mode_indices=modes, eta=float(eta))
+                    try:
+                        hom = measurement.homodyne_fi(state, gen, setup).fi
+                    except GaussmetError:
+                        pass
                 rows.append(
                     {
                         "probe_kind": kind,

@@ -161,6 +161,10 @@ def test_verify_rejects_trial_count_below_one(trials, capsys):
         ("build-state", ["--kind", "optimal", "--ns", "2", "--angles", "x"], 2),
         ("homodyne", ["--phases", "a,b"], 2),
         ("homodyne", ["--modes", "0,x"], 2),
+        ("build-state", ["--kind", "optimal", "--ns", "2", "--modes", "0,0"], 3),
+        ("build-state", ["--kind", "optimal", "--ns", "2", "--modes", "7,8"], 3),
+        ("build-state", ["--kind", "idler", "--ns", "2", "--modes", "0,1"], 3),
+        ("build-state", ["--kind", "mean-optimal", "--ns", "2", "--modes", "5"], 3),
     ],
 )
 def test_bad_input_exit_code_without_traceback(fixture_paths, capsys, command, extra, code):
@@ -171,6 +175,38 @@ def test_bad_input_exit_code_without_traceback(fixture_paths, capsys, command, e
     captured = capsys.readouterr()
     assert ("usage error" if code == 2 else "error:") in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "which, field, value",
+    [("state", "n_modes", "x"), ("generator", "signal_tol", "abc"), ("generator", "signal_tol", None)],
+)
+def test_bad_input_file_field_exit_3(fixture_paths, capsys, which, field, value):
+    state_path, gen_path, _ = fixture_paths
+    path = {"state": state_path, "generator": gen_path}[which]
+    with open(path, encoding="utf-8") as handle:
+        obj = json.load(handle)
+    obj[field] = value
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle)
+    assert cli.run(["qfi", "--state", state_path, "--generator", gen_path]) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_scenario_bad_sweep_eta_exit_3(tmp_path, capsys):
+    config = {
+        "pair": {"center_z": [0.0, 0.0], "center_p": [8.0, 2.0], "sigma_z": 1.0},
+        "n_signal": 8.0,
+        "sweep": {"eta": [1.5]},
+    }
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "never.csv"
+    cfg_path.write_text(json.dumps(config))
+    argv = ["scenario", "--kind", "time-shift", "--config", str(cfg_path), "--out", str(out)]
+    assert cli.run(argv) == 3
+    assert "eta" in capsys.readouterr().err
     assert not out.exists()
 
 

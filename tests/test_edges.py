@@ -178,25 +178,6 @@ def test_jsonio_rejects_ragged_and_non_numeric():
         )
 
 
-def test_grid_from_dict_round_trip():
-    grid = jsonio.grid_from_dict({"z_min": -1.0, "z_max": 3.0, "n_bins": 8})
-    assert grid.delta_z == pytest.approx(0.5)
-    grid2 = jsonio.grid_from_dict({"z_min": 0.0, "z_max": 1.0, "n_bins": 4, "p_min": 0.0})
-    assert grid2.p_min == 0.0
-    with pytest.raises(InputError):
-        jsonio.grid_from_dict({"z_min": 0.0, "n_bins": 4})
-
-
-def test_homodyne_setup_from_dict():
-    setup = jsonio.homodyne_setup_from_dict(
-        {"mode_indices": [0, 1], "phases": [0.1, 0.2], "eta": 0.9}
-    )
-    assert setup.phases == (0.1, 0.2)
-    assert setup.eta == 0.9
-    with pytest.raises(InputError):
-        jsonio.homodyne_setup_from_dict({"phases": "auto"})
-
-
 def test_scenario_csv_byte_identical(tmp_path):
     config = {
         "pair": {

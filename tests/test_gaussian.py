@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussmet import gaussian, jsonio
+from gaussmet.errors import InputError
 from gaussmet.matkernel import max_norm
 from gaussmet.verify import random_unitary
 
@@ -114,6 +115,13 @@ def test_state_validation_rejects_asymmetric_f():
             beta=np.zeros(2, complex),
             f=np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex),
         )
+
+
+def test_disentangled_form_rejects_bad_input():
+    with pytest.raises(InputError, match="unitary"):
+        gaussian.DisentangledForm(V=2.0 * np.eye(2), alpha=np.zeros(2), r=np.zeros(2))
+    with pytest.raises(InputError, match="nonnegative"):
+        gaussian.DisentangledForm(V=np.eye(2), alpha=np.zeros(2), r=np.array([0.3, -0.1]))
 
 
 def test_json_rejects_malformed(tmp_path):

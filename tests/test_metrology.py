@@ -33,6 +33,17 @@ def test_resources_vacuum_flagged():
     assert not res.well_defined
 
 
+def test_resources_defined_at_tiny_photon_number():
+    # a coherent state with 1e-20 signal photons still has a bound
+    d = _eigenbasis_state([2.0], [0.0], alpha=[1e-10])
+    report = metrology.qfi(d, generator.from_matrix(np.array([[2.0 + 0j]])))
+    assert report.resources.well_defined
+    assert report.resources.n_signal == pytest.approx(1e-20, rel=1e-12)
+    assert report.qfi == pytest.approx(1.6e-19, rel=1e-12)
+    assert report.bound == pytest.approx(3.2e-19, rel=1e-12)
+    assert 0.0 < report.qfi <= report.bound
+
+
 def test_resources_squeezed_eigenbasis():
     d = _eigenbasis_state([1.0, 3.0], [1.0, 1.0])
     res = metrology.resources(d, GEN13)
@@ -170,7 +181,7 @@ def test_qfi_between_zero_and_bound(m, seed, r_max, alpha_scale):
     if report.resources.well_defined:
         assert report.qfi <= report.bound * (1.0 + 1e-9)
     else:
-        # below the zero-photon cutoff the bound reads 0; the check keeps
+        # with no signal photon at all the bound reads 0; the check keeps
         # its absolute 1e-9 slack
         assert report.bound == 0.0 and report.bound_satisfied
 

@@ -4,6 +4,7 @@ import pytest
 from gaussmet import generator, metrology, optimal
 from gaussmet.errors import (
     ConditionViolatedError,
+    InputError,
     NoIdlerModesError,
     SpectrumUnreachableError,
 )
@@ -174,6 +175,9 @@ def test_derivative_displaced_requires_structure():
         optimal.build_probe(
             optimal.ProbeSpec(kind="derivative_displaced", n_signal=2.0), coupled
         )
+    single = generator.from_matrix(np.array([[2.0 + 0j]]))
+    with pytest.raises(InputError, match="mode indices"):
+        optimal.build_probe(optimal.ProbeSpec(kind="derivative_displaced", n_signal=2.0), single)
 
 
 def test_derivative_displaced_on_hg_generator():
@@ -237,3 +241,46 @@ def test_mean_optimal_invariance_under_mode_shaping():
             gen,
         )
         assert metrology.qfi(res.state, gen).qfi == pytest.approx(base_qfi, rel=1e-9)
+
+
+def test_idler_assisted_explicit_modes_match_automatic():
+    # eigenvalues ascend as (-1, 0, 0, 1): the automatic choice pairs
+    # signal 0 with idler 1 and signal 3 with idler 2
+    gen = _diag_gen([-1.0, 1.0, 0.0, 0.0])
+    auto = optimal.ProbeSpec(
+        kind="idler_assisted", n_signal=3.0, target_gmean=0.0, target_gvar=1.0,
+        squeeze_angles=(0.4, 1.1),
+    )
+    explicit = optimal.ProbeSpec(
+        kind="idler_assisted", n_signal=3.0, target_gmean=0.0, target_gvar=1.0,
+        squeeze_angles=(0.4, 1.1), mode_choice=(0, 1, 3, 2),
+    )
+    a, b = optimal.build_probe(auto, gen), optimal.build_probe(explicit, gen)
+    assert np.array_equal(a.state.V, b.state.V)
+    assert np.array_equal(a.state.r, b.state.r)
+    assert np.array_equal(a.state.alpha, b.state.alpha)
+    assert a.predicted_qfi == b.predicted_qfi
+    assert a.eigen_residual == b.eigen_residual == 0.0
+    assert metrology.qfi(b.state, gen).qfi == pytest.approx(b.predicted_qfi, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "kind, modes",
+    [
+        ("optimal", (0, 0)),
+        ("variance_optimal", (0, 4)),
+        ("optimal", (0, 1, 2)),
+        ("mean_optimal", (0, 1)),
+        ("mean_optimal", (-1,)),
+        ("derivative_displaced", (1,)),
+        ("idler_assisted", (0, 1)),
+        ("idler_assisted", (0, 1, 3, 1)),
+    ],
+)
+def test_mode_choice_checked_against_kind(kind, modes):
+    gen = _diag_gen([-1.0, 1.0, 0.0, 0.0])
+    spec = optimal.ProbeSpec(
+        kind=kind, n_signal=2.0, target_gmean=0.5, target_gvar=1.0, mode_choice=modes
+    )
+    with pytest.raises(InputError, match="mode indices"):
+        optimal.build_probe(spec, gen)
