@@ -14,6 +14,7 @@ arguments and seeds; floats print at 12 significant digits unless
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -188,8 +189,9 @@ def _cmd_homodyne(args) -> int:
         if args.samples_out:
             samples = measurement.sample_homodyne(d, gen, setup, args.samples, args.seed)
             for k, row in enumerate(samples):
-                path = f"{args.samples_out}_mode{modes[k]}.csv"
-                np.savetxt(path, row, fmt="%.12g")
+                csv = io.StringIO()
+                np.savetxt(csv, row, fmt="%.12g")
+                jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", csv.getvalue())
     _emit(payload, args.out, _sig_digits(args))
     return 0
 
@@ -211,8 +213,7 @@ def _cmd_scenario(args) -> int:
             value = row[col]
             cells.append(value if isinstance(value, str) else f"{value:.{sig}g}")
         lines.append(",".join(cells))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    jsonio._write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -3,12 +3,14 @@
 Builds exact state vectors of up to three modes, truncated by total photon
 number N <= cutoff, and evaluates the QFI as four times the generator
 variance plus the Fisher information of photon counting in an arbitrary
-mode basis. Displacement and squeezing are matrix exponentials of the
-single-mode Hamiltonians. A passive mode mixer conserves N, so its lift is
-block-diagonal in N; each block follows exactly from the block for N - 1
-by the one-photon recurrence of Miatto & Quesada, Quantum 4, 366 (2020),
-with no exponential. This module is the independent check for every
-closed form in the package: it shares no algebra with the Gaussian engine.
+mode basis. Each single-mode column <n|D(alpha) S(r)|0> follows from a
+three-term recurrence in n. A passive mode mixer conserves N, so its lift
+is block-diagonal in N; each block follows exactly from the block for
+N - 1 by the one-photon recurrence of Miatto & Quesada, Quantum 4, 366
+(2020). The generator sum_ij G_ij a_i^dag a_j also conserves N and acts on
+the lattice directly. No exponential or eigendecomposition is formed: this
+module is the independent check for every closed form in the package and
+shares no algebra with the Gaussian engine.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matkernel
 from .errors import InputError, TailTooLargeError, TooManyModesError
@@ -63,10 +64,6 @@ class FockStateVector:
     cutoff: int
     amplitudes: np.ndarray
     norm_deficit: float
-
-
-def _annihilator(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -157,22 +154,39 @@ def apply_mode_transform(psi: np.ndarray, v: np.ndarray, cutoff: int) -> np.ndar
     for sector in sectors:
         rows = block[sector.row_prev]
         weights = v[sector.first] * sector.inv_sqrt_occ[:, None]
-        block = sum(
-            np.take(rows, sector.col_prev[j], axis=1) * np.multiply.outer(weights[:, j], sector.sqrt_occ[j])
-            for j in range(n_modes)
-        )
+        block = np.zeros((sector.flat.size, sector.flat.size), dtype=complex)
+        for j in range(n_modes):
+            term = np.take(rows, sector.col_prev[j], axis=1)
+            term *= sector.sqrt_occ[j]
+            term *= weights[:, j, None]
+            block += term
         flat_out[sector.flat] = block @ flat_in[sector.flat]
     return flat_out.reshape(psi.shape)
+
+
+def _displaced_squeezed_column(alpha: complex, r: float, cutoff: int) -> np.ndarray:
+    """<n|D(alpha) S(r)|0> for n = 0..cutoff, with S(r) = exp(r (a^dag^2 - a^2) / 2).
+
+    S(r)|0> is annihilated by a cosh r - a^dag sinh r, so psi = D S |0>
+    obeys a psi = (alpha - conj(alpha) t + t a^dag) psi with t = tanh r:
+    sqrt(n+1) c_{n+1} = (alpha - conj(alpha) t) c_n + t sqrt(n) c_{n-1}.
+    """
+    t = np.tanh(r)
+    shift = alpha - np.conj(alpha) * t
+    root = np.sqrt(np.arange(cutoff + 1, dtype=float))
+    column = np.zeros(cutoff + 1, dtype=complex)
+    column[0] = np.exp(-0.5 * abs(alpha) ** 2 + 0.5 * np.conj(alpha) ** 2 * t) / np.sqrt(np.cosh(r))
+    for n in range(cutoff):  # root[0] = 0 drops c_{-1}
+        column[n + 1] = (shift * column[n] + t * root[n] * column[n - 1]) / root[n + 1]
+    return column
 
 
 def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
     """Truncated state vector of V [prod_n D(alpha_n) S(r_n)] |0>.
 
-    Displacement and squeezing act as matrix exponentials of the truncated
-    single-mode Hamiltonians on a padded working space (the truncated
-    generators are anti-Hermitian, so the exponentials themselves are
-    unitary; the padding keeps their aliasing error far above the declared
-    cutoff). The product state is then projected onto total photon number
+    Each single-mode column comes from the three-term recurrence of
+    ``_displaced_squeezed_column``, exact for every photon number up to the
+    cutoff. The product state is then projected onto total photon number
     N <= cutoff; the probability lost, 1 - ||P_{N<=c} psi||^2, is the norm
     deficit reported before renormalization. The mode mixer conserves N and
     acts exactly on the kept sectors.
@@ -181,25 +195,9 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
     if m > MAX_MODES:
         raise TooManyModesError(f"oracle supports up to {MAX_MODES} modes, got {m}")
     c = cfg.cutoff
-    work = 2 * (c + 1) + 16  # padded single-mode dimension
-    a = _annihilator(work - 1)
-    adag = a.conj().T
-    vacuum = np.zeros(work, dtype=complex)
-    vacuum[0] = 1.0
-    factors = []
+    psi = np.ones(1, dtype=complex)
     for n in range(m):
-        column = vacuum
-        if d.r[n] != 0.0:
-            sq = scipy.linalg.expm(0.5 * d.r[n] * (adag @ adag - a @ a))
-            column = sq @ column
-        if d.alpha[n] != 0.0:
-            disp = scipy.linalg.expm(d.alpha[n] * adag - np.conj(d.alpha[n]) * a)
-            column = disp @ column
-        factors.append(column[: c + 1])
-    psi = factors[0]
-    for factor in factors[1:]:
-        psi = np.multiply.outer(psi, factor)
-    psi = psi.reshape(-1)
+        psi = np.multiply.outer(psi, _displaced_squeezed_column(d.alpha[n], d.r[n], c)).reshape(-1)
     psi[_sectors(c, m)[1]] = 0.0
     norm_sq = float(np.sum(np.abs(psi) ** 2))
     deficit = max(0.0, 1.0 - norm_sq)
@@ -212,38 +210,40 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
     return FockStateVector(n_modes=m, cutoff=c, amplitudes=np.ascontiguousarray(psi), norm_deficit=deficit)
 
 
-def _diagonal_moments(psi: FockStateVector, g_diag: np.ndarray) -> tuple[float, float]:
-    counts = _occupations(psi.cutoff, psi.n_modes)
-    values = g_diag @ counts
-    prob = np.abs(psi.amplitudes.reshape(-1)) ** 2
-    mean = float(np.sum(prob * values))
-    second = float(np.sum(prob * values**2))
+def _generator_moments(amplitudes: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """<G> = Re<psi|G psi> and <G^2> = ||G psi||^2 for G = sum_ij g_ij a_i^dag a_j.
+
+    G acts on the lattice by shifted slices: (a_i^dag a_j psi)[m] =
+    sqrt(m_i) sqrt(m_j + 1) psi[m - e_i + e_j] for i != j, and the diagonal
+    terms multiply psi[m] by sum_i g_ii m_i. Every term conserves N, so this
+    is exact on a state supported on N <= cutoff.
+    """
+    n_modes = g.shape[0]
+    occ = _occupations(amplitudes.shape[0] - 1, n_modes).reshape((n_modes,) + amplitudes.shape)
+    g_psi = np.tensordot(np.diag(g).real, occ, axes=1) * amplitudes
+    for (i, j), g_ij in np.ndenumerate(g):
+        if i == j or g_ij == 0:
+            continue
+        dst, src = [slice(None)] * n_modes, [slice(None)] * n_modes
+        dst[i], src[i] = slice(1, None), slice(None, -1)
+        dst[j], src[j] = slice(None, -1), slice(1, None)
+        dst = tuple(dst)
+        g_psi[dst] += g_ij * np.sqrt(occ[i][dst] * (occ[j][dst] + 1.0)) * amplitudes[tuple(src)]
+    mean = float(np.vdot(amplitudes, g_psi).real)
+    second = float(np.vdot(g_psi, g_psi).real)
     return mean, second
 
 
 def fock_qfi(psi: FockStateVector, gen: Generator) -> float:
     """QFI as 4 Var(G) on the truncated state.
 
-    Diagonal generators are evaluated directly; otherwise the state is
-    rotated to the generator eigenbasis by the lifted mode transform first.
+    G is applied to the amplitudes on the photon-number lattice (see
+    ``_generator_moments``); no basis rotation or eigendecomposition of G
+    is used.
     """
     if gen.n_modes != psi.n_modes:
         raise TooManyModesError("generator and state mode counts differ")
-    g = gen.G
-    off = matkernel.max_norm(g - np.diag(np.diag(g)))
-    if off <= 1e-12 * max(1.0, matkernel.max_norm(g)):
-        mean, second = _diagonal_moments(psi, np.diag(g).real)
-    else:
-        rotated = apply_mode_transform(
-            psi.amplitudes, gen.eig.U.conj().T, psi.cutoff
-        )
-        rotated_state = FockStateVector(
-            n_modes=psi.n_modes,
-            cutoff=psi.cutoff,
-            amplitudes=rotated,
-            norm_deficit=psi.norm_deficit,
-        )
-        mean, second = _diagonal_moments(rotated_state, gen.eig.eigvals)
+    mean, second = _generator_moments(psi.amplitudes, gen.G)
     return 4.0 * (second - mean**2)
 
 
@@ -258,8 +258,7 @@ def fock_superposition_qfi(n_cut: int, g_min: float, g_max: float) -> float:
     psi = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
     psi[n_cut, 0] = 1.0 / np.sqrt(2.0)
     psi[0, n_cut] = 1.0 / np.sqrt(2.0)
-    state = FockStateVector(n_modes=2, cutoff=n_cut, amplitudes=psi, norm_deficit=0.0)
-    mean, second = _diagonal_moments(state, np.array([g_min, g_max]))
+    mean, second = _generator_moments(psi, np.diag([g_min, g_max]))
     return 4.0 * (second - mean**2)
 
 

@@ -96,6 +96,9 @@ def _complete_unitary(v: np.ndarray) -> np.ndarray:
     return q
 
 
+# spread target at or below which a probe has no generator spread to match
+_ZERO_SPREAD = 1e-24
+
 # number of mode_choice indices each kind takes; the idler-assisted probe
 # names (signal i, idler of i, signal j, idler of j), the others two modes
 _MODE_COUNTS = {"mean_optimal": 1, "idler_assisted": 4}
@@ -254,7 +257,8 @@ def build_probe(spec: ProbeSpec, gen: Generator) -> ProbeResult:
     Eigenvalue matching is nearest-neighbor with ties toward the smaller
     index; the residual is reported so callers on coarse spectra can
     refine. A vanishing spread target degenerates the optimal kind to the
-    single-mode mean-optimal construction. An explicit ``mode_choice``
+    single-mode mean-optimal construction; the idler-assisted kind has no
+    such limit and raises InputError there. An explicit ``mode_choice``
     holds one index for the mean-optimal kind, four (signal, idler,
     signal, idler) for the idler-assisted kind and two for the others.
     The indices count generator eigenmodes in ascending eigenvalue order,
@@ -263,7 +267,10 @@ def build_probe(spec: ProbeSpec, gen: Generator) -> ProbeResult:
     InputError.
     """
     modes = _checked_modes(spec, gen.n_modes)
-    if spec.kind == "mean_optimal" or (spec.kind == "optimal" and spec.target_gvar <= 1e-24):
+    zero_spread = spec.target_gvar <= _ZERO_SPREAD
+    if spec.kind == "idler_assisted" and zero_spread:
+        raise InputError(f"idler_assisted needs target_gvar above {_ZERO_SPREAD:g}, got {spec.target_gvar:g}")
+    if spec.kind == "mean_optimal" or (spec.kind == "optimal" and zero_spread):
         return _build_mean_optimal(spec, gen, modes)
     if spec.kind == "derivative_displaced":
         return _build_derivative_displaced(spec, gen, modes)

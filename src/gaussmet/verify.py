@@ -92,7 +92,7 @@ def random_small_state(rng: np.random.Generator, m: int) -> DisentangledForm:
 def suite_oracle(trials: int, seed: int) -> SuiteReport:
     """Gaussian engine agrees with the truncated Fock oracle."""
     _require_trials(trials)
-    devs, over_tail = [], []
+    devs, deficits, over_tail = {}, {}, []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
         m = int(rng.integers(1, 4))
@@ -106,10 +106,18 @@ def suite_oracle(trials: int, seed: int) -> SuiteReport:
             continue
         exact = metrology.qfi(d, gen).qfi
         oracle = focksim.fock_qfi(psi, gen)
-        devs.append(abs(oracle - exact) / max(abs(exact), 1e-12))
-    worst = max(devs, default=0.0)
+        devs[k] = abs(oracle - exact) / max(abs(exact), 1e-12)
+        deficits[k] = psi.norm_deficit
+    worst = max(devs.values(), default=0.0)
     passed = worst <= 1e-6 and not over_tail
     summary = f"max relative engine/oracle deviation {worst:.3e} (requirement <= 1e-6)"
+    if devs:
+        # the first trial attaining each maximum is named
+        worst_k, deficit_k = max(devs, key=devs.get), max(deficits, key=deficits.get)
+        summary += (
+            f" at trial {worst_k} (seed {seed + worst_k}); largest norm_deficit"
+            f" {deficits[deficit_k]:.3e} at trial {deficit_k} (seed {seed + deficit_k})"
+        )
     if over_tail:
         first = over_tail[0]
         summary += (

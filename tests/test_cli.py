@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from gaussmet import cli
+from gaussmet import cli, jsonio
 
 
 @pytest.fixture
@@ -340,3 +341,71 @@ def test_scenario_beam_tilt_with_scale(tmp_path, capsys):
     # targets scale with omega/c: centers at +-6 -> gbar = 0, spread scaled
     assert float(row["g_mean"]) == pytest.approx(0.0, abs=1e-9)
     assert float(row["g_sd"]) == pytest.approx(2.5 * np.sqrt(36.0 + 1.0), rel=1e-9)
+
+
+def test_build_state_idler_zero_spread_exit_3(tmp_path, capsys):
+    gen = {"G": [[[float(g * (i == j)), 0.0] for j in range(4)] for i, g in enumerate((-1, 1, 0, 0))]}
+    gen_path = tmp_path / "g.json"
+    gen_path.write_text(json.dumps(gen))
+    out = tmp_path / "never.json"
+    for gbar in ("0.5", "-0.5"):
+        rc = cli.run(
+            ["build-state", "--kind", "idler", "--ns", "2", "--gbar", gbar, "--dg", "0",
+             "--spectrum-tol", "1e-3", "--generator", str(gen_path), "--out", str(out)]
+        )
+        assert rc == 3
+        assert "target_gvar" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fail_replace(src, dst):
+    raise OSError("replace refused")
+
+
+def _assert_untouched(directory, names, old):
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+    for name in names:
+        if name in old:
+            assert (directory / name).read_text() == old[name]
+
+
+def test_dump_json_failure_keeps_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("old\n")
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError, match="replace refused"):
+        jsonio.dump_json({"qfi": 1.0}, str(out))
+    _assert_untouched(tmp_path, ["report.json"], {"report.json": "old\n"})
+
+
+def test_scenario_csv_failure_keeps_old_file(tmp_path, monkeypatch, capsys):
+    config = {
+        "pair": {"center_z": [0.0, 0.0], "center_p": [8.0, 2.0], "sigma_z": 1.0, "r": [1.0, 1.0]},
+        "n_signal": 8.0,
+        "sweep": {"n_signal": [8.0], "eta": [1.0]},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "table.csv"
+    out.write_text("old table\n")
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    argv = ["scenario", "--kind", "time-shift", "--config", str(cfg_path), "--out", str(out)]
+    assert cli.run(argv) == 3
+    assert "replace refused" in capsys.readouterr().err
+    _assert_untouched(tmp_path, ["cfg.json", "table.csv"], {"table.csv": "old table\n"})
+
+
+def test_homodyne_samples_csv_failure_keeps_old_file(fixture_paths, monkeypatch, capsys):
+    state_path, gen_path, tmp_path = fixture_paths
+    prefix = tmp_path / "samples"
+    old = {"samples_mode0.csv": "old 0\n", "samples_mode1.csv": "old 1\n"}
+    for name, text in old.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    argv = [
+        "homodyne", "--state", state_path, "--generator", gen_path,
+        "--samples", "100", "--seed", "3", "--samples-out", str(prefix),
+    ]
+    assert cli.run(argv) == 3
+    assert "replace refused" in capsys.readouterr().err
+    _assert_untouched(tmp_path, ["state.json", "gen.json", *old], old)

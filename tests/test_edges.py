@@ -1,5 +1,6 @@
 """Validation, error-path, and determinism edges across the package."""
 
+import dataclasses
 import json
 import warnings
 
@@ -218,6 +219,29 @@ def test_verify_oracle_counts_over_tail_trial_as_failed(monkeypatch):
     assert report.passed is False
     assert "3 trial(s) failed with a Fock tail above tail_tol" in report.summary
     assert "first trial 0 (seed 777)" in report.summary
+
+
+def test_verify_oracle_names_worst_trial_and_largest_deficit(monkeypatch):
+    build, oracle_qfi = focksim.fock_build, focksim.fock_qfi
+    calls = []
+
+    def build_with_deficit(d, cfg):
+        psi = build(d, cfg)
+        deficits = {0: 2e-13, 1: 5e-13, 2: 5e-13, 3: 1e-13}
+        return dataclasses.replace(psi, norm_deficit=deficits[len(calls)])
+
+    def qfi_off_at_trial_2(psi, gen):
+        calls.append(None)
+        value = oracle_qfi(psi, gen)
+        return value * (1.0 + 1e-3) if len(calls) == 3 else value
+
+    monkeypatch.setattr(focksim, "fock_build", build_with_deficit)
+    monkeypatch.setattr(focksim, "fock_qfi", qfi_off_at_trial_2)
+    report = verify.suite_oracle(trials=4, seed=777)
+    assert report.passed is False
+    assert "max relative engine/oracle deviation 1.000e-03" in report.summary
+    assert "at trial 2 (seed 779)" in report.summary
+    assert "largest norm_deficit 5.000e-13 at trial 1 (seed 778)" in report.summary
 
 
 def test_resources_negative_variance_clamp():

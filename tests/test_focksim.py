@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gaussmet import focksim, generator, metrology
 from gaussmet.errors import TailTooLargeError, TooManyModesError
@@ -48,6 +49,32 @@ def test_fock_build_coherent_poisson():
         assert abs(psi.amplitudes[n]) == pytest.approx(poisson, rel=1e-10)
 
 
+def _expm_column(alpha, r, cutoff, work=300):
+    """<n|D(alpha) S(r)|0>, n <= cutoff, from dense exponentials on a padded space.
+
+    Both exponentials are of real matrices: D(alpha) = R D(|alpha|) R^dag
+    with the phase rotation R = exp(i arg(alpha) a^dag a).
+    """
+    a = np.diag(np.sqrt(np.arange(1.0, work)), 1)
+    column = scipy.linalg.expm(0.5 * r * (a.T @ a.T - a @ a))[:, 0]
+    phase = np.exp(1j * np.angle(alpha) * np.arange(work))
+    column = phase * (scipy.linalg.expm(abs(alpha) * (a.T - a)) @ (phase.conj() * column))
+    return column[: cutoff + 1]
+
+
+def test_fock_build_columns_match_expm_anchor():
+    rng = np.random.default_rng(2020)
+    cases = [(0.0, 0.0), (0.0, 1.5 - 2.0j), (1.2, 0.0), (1.5, 3.0j)]
+    for _ in range(6):
+        alpha = rng.uniform(0.0, 3.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        cases.append((rng.uniform(0.0, 1.5), alpha))
+    cfg = OracleConfig(cutoff=60, tail_tol=0.1)
+    for r, alpha in cases:
+        psi = focksim.fock_build(_single_mode(r=r, alpha=alpha), cfg)
+        column = psi.amplitudes * np.sqrt(1.0 - psi.norm_deficit)
+        assert np.max(np.abs(column - _expm_column(alpha, r, cfg.cutoff))) < 1e-13
+
+
 def test_fock_build_rejects_large_tail():
     with pytest.raises(TailTooLargeError):
         focksim.fock_build(_single_mode(r=2.0), OracleConfig(cutoff=4, tail_tol=1e-9))
@@ -86,6 +113,36 @@ def test_fock_qfi_two_mode_variance_optimal():
     assert focksim.fock_qfi(psi, gen) == pytest.approx(
         metrology.qfi(d, gen).qfi, rel=1e-8
     )
+
+
+def test_fock_qfi_matches_rotation_into_generator_eigenbasis():
+    rng = np.random.default_rng(415)
+    for m, cutoff in ((2, 24), (3, 22)):
+        for _ in range(30):
+            gen = generator.from_matrix(random_hermitian(rng, m))
+            psi = focksim.fock_build(random_small_state(rng, m), OracleConfig(cutoff=cutoff, tail_tol=1e-12))
+            rotated = focksim.apply_mode_transform(psi.amplitudes, gen.eig.U.conj().T, cutoff)
+            values = gen.eig.eigvals @ np.indices(rotated.shape).reshape(m, -1)
+            prob = np.abs(rotated.reshape(-1)) ** 2
+            variance = prob @ values**2 - (prob @ values) ** 2
+            assert focksim.fock_qfi(psi, gen) == pytest.approx(4.0 * variance, rel=1e-12)
+
+
+def test_fock_qfi_closed_forms_through_off_diagonal_generator():
+    # the closed forms of the two tests above, with state and generator
+    # rotated by a random mixer so that every a_i^dag a_j term contributes
+    w = random_unitary(np.random.default_rng(416), 2)
+    s2 = 0.04
+    r = np.arcsinh(np.sqrt(s2))
+    cases = (
+        ([1.0, 0.0], [0.1, 0.0], 2.0 * np.sinh(0.2) ** 2),
+        ([-1.0, 1.0], [r, r], 2 * 8.0 * s2 * (s2 + 1.0)),
+    )
+    for g_vals, squeeze, closed_form in cases:
+        d = DisentangledForm(V=w, alpha=np.zeros(2, complex), r=np.array(squeeze))
+        gen = generator.from_matrix(w @ np.diag(g_vals) @ w.conj().T)
+        psi = focksim.fock_build(d, OracleConfig(cutoff=25, tail_tol=1e-12))
+        assert focksim.fock_qfi(psi, gen) == pytest.approx(closed_form, rel=1e-10)
 
 
 def test_oracle_equivalence_random_probes():

@@ -224,6 +224,19 @@ def test_idler_assisted_needs_idlers():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gbar", [0.5, -0.5])
+def test_idler_assisted_rejects_zero_spread(gbar):
+    # at zero spread the two-mode split has an empty arm; the optimal kind
+    # falls back to mean-optimal there, the idler-assisted kind has no limit
+    spec = optimal.ProbeSpec(
+        kind="idler_assisted", n_signal=2.0, target_gmean=gbar, target_gvar=0.0,
+        spectrum_tol=1e-3,
+    )
+    with pytest.raises(InputError, match="target_gvar"):
+        optimal.build_probe(spec, _diag_gen([-1.0, 1.0, 0.0, 0.0]))
+
+
 def test_mean_optimal_invariance_under_mode_shaping():
     # states with identical resources but different shaping unitaries share a QFI
     rng = np.random.default_rng(101)
