@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 
 import numpy as np
@@ -132,7 +131,7 @@ def _emit(payload: dict, out_path: str | None, sig: int) -> None:
     if out_path:
         jsonio.dump_json(rounded, out_path)
     else:
-        print(json.dumps(rounded, indent=2))
+        print(jsonio.format_json(rounded))
 
 
 def _cmd_qfi(args) -> int:
@@ -164,7 +163,7 @@ def _cmd_build(args) -> int:
         "eigen_residual": result.eigen_residual,
         "predicted_qfi": result.predicted_qfi,
     }
-    print(json.dumps(jsonio.round_floats(summary, _sig_digits(args)), indent=2))
+    print(jsonio.format_json(jsonio.round_floats(summary, _sig_digits(args))))
     return 0
 
 

@@ -1,17 +1,20 @@
 """JSON schemas for states, generators, scenario configs, and reports.
 
-Complex numbers are two-element [re, im] arrays. Files round-trip
-bit-exactly (floats are written with shortest-round-trip precision);
-stdout reports are separately rounded to a significant-digit budget.
+Complex numbers are two-element [re, im] arrays, converted a whole array
+at a time (``_pairs``, ``_parse_array``). Files are the bytes of
+``json.dumps(obj, indent=2)``, written by ``format_json``, with
+shortest-round-trip floats, so they round-trip bit-exactly; stdout
+reports are separately rounded to a significant-digit budget.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import secrets
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -24,48 +27,31 @@ from .regmodes import RegularizedModePair
 from .scenarios import ScenarioConfig
 
 
-def _c(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(a: np.ndarray) -> list:
+    """Nested lists of [re, im] floats, one per entry of a complex array."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _vec(v: np.ndarray) -> list[list[float]]:
-    return [_c(z) for z in v]
-
-
-def _mat(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_c(z) for z in row] for row in m]
-
-
-def _parse_c(obj: Any, where: str) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise InputError(f"{where}: complex numbers must be [re, im] pairs")
+def _parse_array(obj: Any, where: str, ndim: int) -> np.ndarray:
+    """Non-empty (M,) or (M, M') complex array from pairs of shape (M, 2)
+    (``ndim`` 2) or (M, M', 2) (``ndim`` 3); numpy reads ``null`` as NaN,
+    so every entry must be finite."""
     try:
-        return complex(float(obj[0]), float(obj[1]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: non-numeric complex entry") from exc
-
-
-def _parse_vec(obj: Any, where: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise InputError(f"{where}: expected a list")
-    return np.array([_parse_c(z, where) for z in obj], dtype=complex)
-
-
-def _parse_mat(obj: Any, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise InputError(f"{where}: expected a list of rows")
-    rows = [[_parse_c(z, where) for z in row] for row in obj]
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise InputError(f"{where}: ragged matrix")
-    return np.array(rows, dtype=complex)
+        a = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where}: expected nested lists of numeric [re, im] pairs ({exc})") from exc
+    if a.ndim != ndim or a.shape[-1] != 2 or a.size == 0:
+        raise InputError(f"{where}: expected a non-empty array of [re, im] pairs, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError(f"{where}: entries must be finite numbers")
+    return a.view(complex)[..., 0]
 
 
 def state_to_dict(state: GaussianPureState) -> dict:
     return {
         "n_modes": state.n_modes,
-        "beta": _vec(state.beta),
-        "f": _mat(state.f),
+        "beta": _pairs(state.beta),
+        "f": _pairs(state.f),
         "basis_label": state.basis_label,
     }
 
@@ -73,12 +59,12 @@ def state_to_dict(state: GaussianPureState) -> dict:
 def state_from_dict(obj: dict) -> GaussianPureState:
     try:
         n_modes = int(obj["n_modes"])
-        beta = _parse_vec(obj["beta"], "beta")
-        f = _parse_mat(obj["f"], "f")
+        beta = _parse_array(obj["beta"], "beta", 2)
+        f = _parse_array(obj["f"], "f", 3)
         label = str(obj.get("basis_label", "a"))
     except KeyError as exc:
         raise InputError(f"state file missing field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid state field: {exc}") from exc
     try:
         return GaussianPureState(n_modes=n_modes, beta=beta, f=f, basis_label=label)
@@ -87,16 +73,16 @@ def state_from_dict(obj: dict) -> GaussianPureState:
 
 
 def generator_to_dict(gen: Generator) -> dict:
-    return {"G": _mat(gen.G), "signal_tol": gen.signal_tol}
+    return {"G": _pairs(gen.G), "signal_tol": gen.signal_tol}
 
 
 def generator_from_dict(obj: dict) -> Generator:
     try:
-        g = _parse_mat(obj["G"], "G")
+        g = _parse_array(obj["G"], "G", 3)
         tol = float(obj.get("signal_tol", 1e-12))
     except KeyError as exc:
         raise InputError("generator file missing field 'G'") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid generator field: {exc}") from exc
     try:
         return from_matrix(g, signal_tol=tol)
@@ -140,7 +126,7 @@ def pair_from_dict(obj: dict) -> RegularizedModePair:
             theta=tuple(float(t) for t in obj.get("theta", (0.0, 0.0))),
             r=tuple(float(r) for r in obj.get("r", (0.0, 0.0))),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid mode pair: {exc}") from exc
 
 
@@ -153,7 +139,7 @@ def scenario_config_from_dict(obj: dict, kind: str | None = None) -> ScenarioCon
             physical_scale=float(obj.get("physical_scale", 1.0)),
             sweep=dict(obj.get("sweep", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid scenario config: {exc}") from exc
 
 
@@ -161,9 +147,7 @@ def round_floats(obj: Any, sig_digits: int) -> Any:
     """Round every float in a JSON-ready object to sig_digits digits."""
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, float):
-        if not np.isfinite(obj):
-            return obj
+    if isinstance(obj, float):  # nan and +-inf format and parse back unchanged
         return float(f"{obj:.{sig_digits}g}")
     if isinstance(obj, dict):
         return {k: round_floats(v, sig_digits) for k, v in obj.items()}
@@ -178,7 +162,7 @@ def load_json(path: str) -> dict:
             obj = json.load(handle)
     except FileNotFoundError as exc:
         raise InputError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, huge ints, deep nesting
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
@@ -205,8 +189,41 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def format_json(obj: Any) -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte. ``indent`` sends the
+    stdlib to its pure-Python encoder; this walks dicts and lists as that
+    encoder does, but formats each list of [float, float] pairs with one
+    C-encoder ``json.dumps`` and then indents its separators."""
+    return "".join(_chunks(obj, "\n"))
+
+
+def _chunks(obj: Any, pad: str) -> Iterator[str]:
+    inner, keyed = pad + "  ", isinstance(obj, dict)
+    if not isinstance(obj, (dict, list, tuple)) or not obj or keyed and not all(type(k) is str for k in obj):
+        # scalars, empty containers, and dicts whose keys the stdlib converts to strings
+        yield json.dumps(obj, indent=2).replace("\n", pad)
+    elif keyed:
+        sep = "{"
+        for key, value in obj.items():
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _chunks(value, inner)
+            sep = ","
+        yield pad + "}"
+    elif set(map(type, obj)) == {list} and set(map(len, obj)) == {2} and set(
+        map(type, itertools.chain.from_iterable(obj))
+    ) == {float}:
+        item = inner + "  "
+        body = json.dumps(obj)[2:-2].replace("], [", f"{inner}],{inner}[{item}").replace(", ", "," + item)
+        yield f"[{inner}[{item}{body}{inner}]{pad}]"
+    else:
+        sep = "["
+        for value in obj:
+            yield sep + inner
+            yield from _chunks(value, inner)
+            sep = ","
+        yield pad + "]"
+
+
 def dump_json(obj: dict, path: str) -> None:
-    # keep text bound while the file is written: freeing it first (a 5 MB text
-    # at M = 256) moved glibc's adaptive mmap threshold and peak RSS by ~4 MiB
-    text = json.dumps(obj, indent=2)
-    _write_atomic(path, text + "\n")
+    # one join: each extra whole-text copy (5 MB at M = 256) raised peak RSS
+    _write_atomic(path, "".join(itertools.chain(_chunks(obj, "\n"), ("\n",))))

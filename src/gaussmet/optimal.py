@@ -125,12 +125,17 @@ def _pair_split(spec: ProbeSpec) -> tuple[float, float, float, float]:
     The variance-optimal probe halves N; the others weight the pair by
     q = gbar / sqrt(gbar^2 + dg^2). The eigenvalues gbar - dg sqrt(sj2/si2)
     and gbar + dg sqrt(si2/sj2) give the pair the target mean and spread.
+    Where q is +-1 or undefined (dg = 0, or dg too small to move q) one
+    mode would get no photons, and InputError is raised.
     """
     gbar, dg = spec.target_gmean, np.sqrt(spec.target_gvar)
     if spec.kind == "variance_optimal":
         si2 = sj2 = 0.5 * spec.n_signal
     else:
-        q = gbar / np.hypot(gbar, dg)
+        norm = np.hypot(gbar, dg)
+        if not abs(gbar) < norm:
+            raise InputError(f"{spec.kind} needs a spread that splits N over two modes, got dg {dg:g} at gbar {gbar:g}")
+        q = gbar / norm
         si2 = 0.5 * spec.n_signal * (1.0 - q)
         sj2 = 0.5 * spec.n_signal * (1.0 + q)
     return si2, sj2, gbar - dg * np.sqrt(sj2 / si2), gbar + dg * np.sqrt(si2 / sj2)

@@ -244,7 +244,8 @@ def table_probe(kind: str, n_signal: float, gbar: float, dg: float):
     """Ideal probe of one table family at exactly the given resources.
 
     Returns (state, generator); each family gets the smallest generator
-    whose spectrum realizes the required eigenvalues exactly.
+    whose spectrum realizes the required eigenvalues exactly. The optimal
+    family needs dg > 0 (InputError otherwise).
     """
     if kind == "derivative_displaced":
         gen = from_matrix(np.array([[gbar, 1j * dg], [-1j * dg, gbar]], dtype=complex))

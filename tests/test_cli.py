@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gaussmet import cli, jsonio
+from gaussmet import cli, jsonio, verify
+
+_HUGE = "1" + "0" * 400  # an integer too large for a float
 
 
 @pytest.fixture
@@ -195,6 +199,20 @@ def test_bad_input_file_field_exit_3(fixture_paths, capsys, which, field, value)
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["n_signal", "sigma_z"])
+def test_scenario_huge_integer_exit_3(tmp_path, capsys, field):
+    pair = '{"center_z": [0.0, 0.0], "center_p": [8.0, 2.0], "sigma_z": %s}'
+    text = '{"pair": %s, "n_signal": %s}' % (
+        pair % (_HUGE if field == "sigma_z" else "1.0"), _HUGE if field == "n_signal" else "8.0"
+    )
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "never.csv"
+    cfg_path.write_text(text)
+    argv = ["scenario", "--kind", "time-shift", "--config", str(cfg_path), "--out", str(out)]
+    assert cli.run(argv) == 3
+    assert "too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scenario_bad_sweep_eta_exit_3(tmp_path, capsys):
@@ -409,3 +427,76 @@ def test_homodyne_samples_csv_failure_keeps_old_file(fixture_paths, monkeypatch,
     assert cli.run(argv) == 3
     assert "replace refused" in capsys.readouterr().err
     _assert_untouched(tmp_path, ["state.json", "gen.json", *old], old)
+
+
+
+_BAD_INPUT_FILES = {
+    "huge-int-beta": ('{"n_modes": 1, "beta": [[%s, 0]], "f": [[[0, 0]]]}' % _HUGE, None),
+    "huge-int-signal-tol": (None, '{"G": [[[1, 0]]], "signal_tol": %s}' % _HUGE),
+    "huge-int-G": (None, '{"G": [[[%s, 0]]]}' % _HUGE),
+    "null-entry": ('{"n_modes": 1, "beta": [[null, 0]], "f": [[[0, 0]]]}', None),
+    "nan-literal": ('{"n_modes": 1, "beta": [[0, 0]], "f": [[[NaN, 0]]]}', None),
+    "infinity-literal": (None, '{"G": [[[Infinity, 0]]]}'),
+    "three-element-pair": ('{"n_modes": 1, "beta": [[0, 0, 0]], "f": [[[0, 0]]]}', None),
+    "scalar-matrix-entry": ('{"n_modes": 1, "beta": [[0, 0]], "f": [[0]]}', None),
+    "pair-matrix-entries": ('{"n_modes": 2, "beta": [[0, 0], [0, 0]], "f": [[0, 0], [0, 0]]}', None),
+    "empty-f": ('{"n_modes": 1, "beta": [[0, 0]], "f": []}', None),
+    "empty-rows": ('{"n_modes": 0, "beta": [], "f": [[]]}', None),
+    "ragged-f": ('{"n_modes": 2, "beta": [[0, 0], [0, 0]], "f": [[[0, 0]], [[0, 0], [0, 0]]]}', None),
+    "ragged-G": (None, '{"G": [[[1, 0], [0, 0]], [[0, 0]]]}'),
+    "infinite-n-modes": ('{"n_modes": 1e400, "beta": [[0, 0]], "f": [[[0, 0]]]}', None),
+    "over-digit-limit": ('{"n_modes": 1, "beta": [[%s]], "f": [[[0, 0]]]}' % ("1" * 5000), None),
+    "too-deep": ('{"n_modes": 1, "beta": ' + "[" * 100000, None),
+}
+
+
+@pytest.mark.parametrize("state_text, gen_text", list(_BAD_INPUT_FILES.values()), ids=list(_BAD_INPUT_FILES))
+def test_bad_array_in_input_file_exit_3(fixture_paths, capsys, state_text, gen_text):
+    state_path, gen_path, _ = fixture_paths
+    for path, text in ((state_path, state_text), (gen_path, gen_text)):
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    assert cli.run(["qfi", "--state", state_path, "--generator", gen_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("which", ["state", "generator"])
+def test_non_utf8_input_file_exit_3(fixture_paths, capsys, which):
+    state_path, gen_path, _ = fixture_paths
+    path = {"state": state_path, "generator": gen_path}[which]
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data[:-1] + b', "note": "\xff"}')
+    assert cli.run(["qfi", "--state", state_path, "--generator", gen_path]) == 3
+    captured = capsys.readouterr()
+    assert "utf-8" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["bound", "lemma2"])
+def test_verify_summary_names_worst_trial(capsys, suite):
+    assert cli.run(["verify", "--suite", suite, "--trials", "20", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    k = int(out.split(" at trial ")[1].split()[0])
+    assert f" at trial {k} (seed {5 + k})" in out
+    # the named trial alone reproduces the worst value
+    (alone,) = verify.run_suites([suite], 1, 5 + k)
+    assert alone.summary.split(" at trial ")[0] in out
+
+
+def test_python_dash_m_runs_the_cli(fixture_paths, capsys):
+    state_path, gen_path, _ = fixture_paths
+    argv = ["qfi", "--state", state_path, "--generator", gen_path]
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gaussmet", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected and proc.stderr == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaussmet import measurement, metrology, scenarios
-from gaussmet.errors import GridTooCoarseError, RegularizationPoorError, RegularizationWarning
+from gaussmet.errors import GridTooCoarseError, InputError, RegularizationPoorError, RegularizationWarning
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import DiscretizationGrid, HGParams, hg_generator
 from gaussmet.regmodes import RegularizedModePair
@@ -346,3 +346,11 @@ def test_run_scenario_eta_crossover():
             assert row["homodyne_fi"] > coherent_at_eta
         else:
             assert row["homodyne_fi"] < coherent_at_eta
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gbar, dg", [(1.0, 0.0), (0.0, 0.0), (-2.0, 0.0), (1.0, 1e-9)])
+def test_table_probe_optimal_needs_a_spread(gbar, dg):
+    # dg = 1e-9 leaves hypot(gbar, dg) == |gbar|, so q rounds to 1 as at dg = 0
+    with pytest.raises(InputError, match="spread"):
+        scenarios.table_probe("optimal", 2.0, gbar, dg)
