@@ -16,7 +16,7 @@ from . import (
     scenarios,
     verify,
 )
-from .gaussian import CovarianceForm, DisentangledForm, GaussianPureState, assemble, disentangle, to_covariance
+from .gaussian import DisentangledForm, GaussianPureState, assemble, disentangle
 from .generator import DiscretizationGrid, Generator, HGParams, from_matrix, hg_generator, shift_generator
 from .metrology import QfiReport, ResourceTriple, qfi, qfi_upper_bound, resources
 from .optimal import ProbeResult, ProbeSpec, build_probe
@@ -25,7 +25,6 @@ from .regmodes import RegularizedModePair
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceForm",
     "DisentangledForm",
     "DiscretizationGrid",
     "GaussianPureState",
@@ -45,7 +44,6 @@ __all__ = [
     "qfi_upper_bound",
     "resources",
     "shift_generator",
-    "to_covariance",
     "cli",
     "errors",
     "focksim",

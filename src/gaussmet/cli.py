@@ -14,6 +14,7 @@ arguments and seeds; floats print at 12 significant digits unless
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import sys
 
@@ -138,7 +139,7 @@ def _cmd_qfi(args) -> int:
     state = jsonio.state_from_dict(jsonio.load_json(args.state))
     gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
     report = metrology.qfi(disentangle(state), gen)
-    _emit(jsonio.report_to_dict(report), args.out, _sig_digits(args))
+    _emit(dataclasses.asdict(report), args.out, _sig_digits(args))
     return 0
 
 
@@ -159,7 +160,7 @@ def _cmd_build(args) -> int:
     jsonio.dump_json(state_dict, args.out)
     summary = {
         "state_path": args.out,
-        "achieved": jsonio.resources_to_dict(result.achieved),
+        "achieved": dataclasses.asdict(result.achieved),
         "eigen_residual": result.eigen_residual,
         "predicted_qfi": result.predicted_qfi,
     }
@@ -180,7 +181,7 @@ def _cmd_homodyne(args) -> int:
         true_param=args.lam,
     )
     result = measurement.homodyne_fi(d, gen, setup)
-    payload = jsonio.homodyne_result_to_dict(result)
+    payload = dataclasses.asdict(result)
     if args.samples > 0:
         payload["empirical_fi"] = measurement.empirical_fi(
             d, gen, setup, args.samples, args.seed

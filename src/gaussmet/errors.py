@@ -53,10 +53,6 @@ class TooManyModesError(GaussmetError):
     """Mode count exceeds what the brute-force oracle supports."""
 
 
-class GridTooCoarseError(GaussmetError):
-    """Quadrature grid too coarse or too narrow for the requested integral."""
-
-
 class RegularizationPoorError(GaussmetError):
     """Regularized probe modes overlap too strongly to be treated as orthogonal."""
 

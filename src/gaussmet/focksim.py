@@ -254,7 +254,7 @@ def fock_superposition_qfi(n_cut: int, g_min: float, g_max: float) -> float:
     (g_max - g_min)^2 n_cut^2 = 4 dg^2 N^2.
     """
     if n_cut < 1:
-        raise ValueError("n_cut must be at least 1")
+        raise InputError("n_cut must be at least 1")
     psi = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
     psi[n_cut, 0] = 1.0 / np.sqrt(2.0)
     psi[0, n_cut] = 1.0 / np.sqrt(2.0)

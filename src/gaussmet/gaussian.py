@@ -1,5 +1,5 @@
 """Pure multimode Gaussian states and conversions between their
-squeezing-matrix, disentangled (Takagi), and covariance representations.
+squeezing-matrix and disentangled (Takagi) representations.
 
 Conventions: quadratures q = (c + c†)/√2, p = (c† - c)/(√2 i); the vacuum
 covariance matrix is the identity, so a mode squeezed by r carries the
@@ -76,26 +76,6 @@ class DisentangledForm:
         return self.V.shape[0]
 
 
-@dataclass(frozen=True)
-class CovarianceForm:
-    """Quadrature mean vector and 2M x 2M covariance matrix, (q1,p1,q2,p2,...)."""
-
-    mean: np.ndarray
-    Sigma: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.shape[0] // 2
-
-
-def vacuum(n_modes: int) -> GaussianPureState:
-    return GaussianPureState(
-        n_modes=n_modes,
-        beta=np.zeros(n_modes, dtype=complex),
-        f=np.zeros((n_modes, n_modes), dtype=complex),
-    )
-
-
 def disentangle(state: GaussianPureState) -> DisentangledForm:
     """Factor a Gaussian state into independent single-mode operations.
 
@@ -112,21 +92,3 @@ def assemble(d: DisentangledForm, basis_label: str = "a") -> GaussianPureState:
     f = d.V @ np.diag(d.r).astype(complex) @ d.V.T
     beta = d.V @ d.alpha
     return GaussianPureState(n_modes=d.n_modes, beta=beta, f=f, basis_label=basis_label)
-
-
-def to_covariance(d: DisentangledForm) -> CovarianceForm:
-    """Covariance form in the basis where the state is a product state."""
-    m = d.n_modes
-    mean = np.zeros(2 * m)
-    sigma = np.zeros((2 * m, 2 * m))
-    for n in range(m):
-        mean[2 * n] = np.sqrt(2.0) * d.alpha[n].real
-        mean[2 * n + 1] = np.sqrt(2.0) * d.alpha[n].imag
-        sigma[2 * n, 2 * n] = np.exp(2.0 * d.r[n])
-        sigma[2 * n + 1, 2 * n + 1] = np.exp(-2.0 * d.r[n])
-    return CovarianceForm(mean=mean, Sigma=sigma)
-
-
-def total_photon_number(d: DisentangledForm) -> float:
-    """Mean photon number: squeezing plus displacement contributions."""
-    return float(np.sum(np.sinh(d.r) ** 2) + np.sum(np.abs(d.alpha) ** 2))

@@ -83,41 +83,30 @@ def signal_projector(gen: Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscretizationGrid:
-    """Uniform binning of an interval together with its Fourier-dual grid.
+    """Uniform binning of the interval [z_min, z_max] into n_bins bins.
 
-    The dual bin width is fixed by delta_p = 2*pi / (z_max - z_min), so
-    delta_z * delta_p * n_bins = 2*pi holds by construction. The dual
-    offset defaults to a centered dual grid and may be overridden.
+    ``z_values`` are the left bin edges, the eigenvalues of a shift
+    generator on the grid; ``quadrature_nodes`` add the right end point
+    for trapezoid integrals.
     """
 
     z_min: float
     z_max: float
     n_bins: int
-    p_min: float | None = None
 
     def __post_init__(self):
         if not (self.z_max > self.z_min):
             raise InputError("z_max must exceed z_min")
         if self.n_bins < 1:
             raise InputError("n_bins must be at least 1")
-        if self.p_min is None:
-            object.__setattr__(self, "p_min", -np.pi / self.delta_z + self.delta_p / 2.0)
 
     @property
     def delta_z(self) -> float:
         return (self.z_max - self.z_min) / self.n_bins
 
     @property
-    def delta_p(self) -> float:
-        return 2.0 * np.pi / (self.z_max - self.z_min)
-
-    @property
     def z_values(self) -> np.ndarray:
         return self.z_min + self.delta_z * np.arange(self.n_bins)
-
-    @property
-    def p_values(self) -> np.ndarray:
-        return self.p_min + self.delta_p * np.arange(self.n_bins)
 
     def quadrature_nodes(self) -> np.ndarray:
         """Trapezoid nodes spanning the interval, one per bin edge."""
@@ -138,7 +127,7 @@ def shift_generator(
     only; callers in the tilt domain choose the regime.
     """
     if domain not in SHIFT_DOMAINS:
-        raise ValueError(f"domain must be one of {SHIFT_DOMAINS}, got {domain!r}")
+        raise InputError(f"domain must be one of {SHIFT_DOMAINS}, got {domain!r}")
     values = physical_scale * grid.z_values
     return from_matrix(
         np.diag(values.astype(complex)),
@@ -165,7 +154,6 @@ class HGParams:
 def hg_generator(
     hg: HGParams,
     n_modes: int,
-    domain_sign: str = "z_shift",
     signal_tol: float = DEFAULT_SIGNAL_TOL,
 ) -> Generator:
     """Shift generator in a truncated Hermite-Gauss mode basis.
@@ -177,10 +165,8 @@ def hg_generator(
     magnitude sqrt(n_modes/2)/(sqrt(2) sigma) is reported in ``meta`` so
     callers can size the basis.
     """
-    if domain_sign != "z_shift":
-        raise ValueError("only the z_shift sign convention is defined")
     if n_modes < 2:
-        raise ValueError("need at least two Hermite-Gauss levels")
+        raise InputError("need at least two Hermite-Gauss levels")
     m = n_modes
     g = np.diag(np.full(m, hg.center_p, dtype=complex))
     pref = 1.0 / (np.sqrt(2.0) * hg.sigma_z)
@@ -226,7 +212,7 @@ def generator_from_modes(
     magnitude is reported in ``meta``.
     """
     if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
+        raise InputError("fd_step must be positive")
     z = quadrature_grid.quadrature_nodes()
     modes0 = np.array([mode_family(n, z, lam0) for n in range(n_modes)])
     gram = np.array(

@@ -1,10 +1,12 @@
-"""JSON schemas for states, generators, scenario configs, and reports.
+"""JSON schemas for states, generators and scenario configs.
 
 Complex numbers are two-element [re, im] arrays, converted a whole array
 at a time (``_pairs``, ``_parse_array``). Files are the bytes of
 ``json.dumps(obj, indent=2)``, written by ``format_json``, with
-shortest-round-trip floats, so they round-trip bit-exactly; stdout
-reports are separately rounded to a significant-digit budget.
+shortest-round-trip floats, so they round-trip bit-exactly. Reports
+need no schema here: the CLI converts its result dataclasses with
+``dataclasses.asdict`` and rounds them with ``round_floats`` to a
+significant-digit budget.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 from .errors import GaussmetError, InputError
 from .gaussian import GaussianPureState
 from .generator import Generator, from_matrix
-from .measurement import HomodyneResult
-from .metrology import QfiReport, ResourceTriple
 from .regmodes import RegularizedModePair
 from .scenarios import ScenarioConfig
 
@@ -88,33 +88,6 @@ def generator_from_dict(obj: dict) -> Generator:
         return from_matrix(g, signal_tol=tol)
     except GaussmetError as exc:
         raise InputError(f"invalid generator: {exc}") from exc
-
-
-def resources_to_dict(res: ResourceTriple) -> dict:
-    return {
-        "n_signal": res.n_signal,
-        "g_mean": res.g_mean,
-        "g_var": res.g_var,
-        "well_defined": res.well_defined,
-    }
-
-
-def report_to_dict(report: QfiReport) -> dict:
-    return {
-        "qfi": report.qfi,
-        "resources": resources_to_dict(report.resources),
-        "bound": report.bound,
-        "bound_satisfied": report.bound_satisfied,
-    }
-
-
-def homodyne_result_to_dict(result: HomodyneResult) -> dict:
-    return {
-        "fi": result.fi,
-        "per_mode_fi": list(result.per_mode_fi),
-        "variances": list(result.variances),
-        "phases_used": list(result.phases_used),
-    }
 
 
 def pair_from_dict(obj: dict) -> RegularizedModePair:

@@ -76,11 +76,17 @@ def sigma_env_from_thermal(n_thermal: float, eta: float) -> float:
 
 
 def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...]):
-    """Per-mode (g, r) after checking the probe lives on eigenmodes."""
+    """Per-mode (g, r) after checking each measured mode is an eigenmode.
+
+    If Gtilde e_n = g_n e_n, the imprint maps c_n to e^{-i lambda g_n} c_n,
+    so the outcomes of the measured modes depend on no other mode of the
+    product state, and unmeasured modes need no check.
+    """
+    if any(not 0 <= n < d.n_modes for n in modes):
+        raise InputError(f"measured mode indices must lie in [0, {d.n_modes}), got {modes}")
     gt = metrology.build_workspace(d, gen).Gtilde
     scale = max(1.0, matkernel.max_norm(gen.G))
-    populated = set(np.nonzero(d.r > 0)[0]) | set(np.nonzero(np.abs(d.alpha) > 0)[0])
-    for n in sorted(populated | set(modes)):
+    for n in modes:
         col = np.abs(gt[:, n]).copy()
         col[n] = 0.0
         if col.max() > _DIAG_TOL * scale:
@@ -92,21 +98,6 @@ def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...])
             "homodyne formulas assume squeezed-vacuum modes; measured mode is displaced"
         )
     return [(float(gt[n, n].real), float(d.r[n])) for n in modes]
-
-
-def homodyne_variance(
-    d: DisentangledForm,
-    gen: Generator,
-    mode: int,
-    phase: float,
-    lam: float,
-    eta: float = 1.0,
-    sigma_env_sq: float = 1.0,
-) -> float:
-    """Outcome variance of homodyning one eigenmode at a relative phase."""
-    ((g, r),) = _eigenmode_data(d, gen, (mode,))
-    a, b = _variance_coefficients(r, eta, sigma_env_sq)
-    return _variance(a, b, g, phase, lam)
 
 
 def _variance_coefficients(r: float, eta: float, sigma_env_sq: float) -> tuple[float, float]:

@@ -186,12 +186,11 @@ def lemma2_gap(h: np.ndarray, q: np.ndarray, tol: float = 1e-10) -> float:
     return 4.0 * tr_hq**2 + 4.0 * tr_h2q * tr_q - 8.0 * tr_hqhq
 
 
-ProbeBuilder = Callable[[float, float, float], "tuple[DisentangledForm, Generator] | DisentangledForm"]
+ProbeBuilder = Callable[[float, float, float], "tuple[DisentangledForm, Generator]"]
 
 
 def optimality_coefficients(
     builder_handle: ProbeBuilder,
-    gen: Generator | None,
     res_targets: ResourceTriple,
     ns_values: tuple[float, ...] = (10.0, 20.0, 40.0, 80.0),
 ) -> tuple[float, float]:
@@ -202,9 +201,8 @@ def optimality_coefficients(
     1 / N (weighted by 1/N^2) and extrapolated to N -> infinity, and the
     two quadratic coefficients are decomposed onto (gbar^2, dg^2).
 
-    ``builder_handle(n_signal, gbar, dg)`` may return either a state (the
-    shared ``gen`` is then used) or a (state, generator) pair for families
-    whose generator must track the targets.
+    ``builder_handle(n_signal, gbar, dg)`` returns a (state, generator)
+    pair, so the generator can track the targets.
     """
     ns = np.asarray(ns_values, dtype=float)
     if len(np.unique(ns)) < 3:
@@ -219,13 +217,7 @@ def optimality_coefficients(
     def quad_coeff(gbar: float, dg: float) -> float:
         ys, xs, ws = [], [], []
         for n in ns:
-            built = builder_handle(float(n), gbar, dg)
-            if isinstance(built, tuple):
-                d, g_use = built
-            else:
-                if gen is None:
-                    raise FitIllConditionedError("builder returned no generator and none was given")
-                d, g_use = built, gen
+            d, g_use = builder_handle(float(n), gbar, dg)
             ys.append(qfi(d, g_use).qfi / n**2)
             xs.append(1.0 / n)
             ws.append(1.0 / n**2)

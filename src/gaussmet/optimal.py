@@ -96,7 +96,7 @@ def _complete_unitary(v: np.ndarray) -> np.ndarray:
     return q
 
 
-# spread target at or below which a probe has no generator spread to match
+# spread target at or below which the idler-assisted probe has no spread to match
 _ZERO_SPREAD = 1e-24
 
 # number of mode_choice indices each kind takes; the idler-assisted probe
@@ -119,6 +119,13 @@ def _checked_modes(spec: ProbeSpec, m: int) -> tuple[int, ...] | None:
     return modes
 
 
+def _splits(spec: ProbeSpec) -> bool:
+    """Whether the spread moves q = gbar / hypot(gbar, dg) off +-1, so
+    that both modes of a two-mode probe get photons."""
+    gbar = spec.target_gmean
+    return abs(gbar) < np.hypot(gbar, np.sqrt(spec.target_gvar))
+
+
 def _pair_split(spec: ProbeSpec) -> tuple[float, float, float, float]:
     """Photon split (si2, sj2) of a two-mode probe and its matched eigenvalues.
 
@@ -132,10 +139,9 @@ def _pair_split(spec: ProbeSpec) -> tuple[float, float, float, float]:
     if spec.kind == "variance_optimal":
         si2 = sj2 = 0.5 * spec.n_signal
     else:
-        norm = np.hypot(gbar, dg)
-        if not abs(gbar) < norm:
+        if not _splits(spec):
             raise InputError(f"{spec.kind} needs a spread that splits N over two modes, got dg {dg:g} at gbar {gbar:g}")
-        q = gbar / norm
+        q = gbar / np.hypot(gbar, dg)
         si2 = 0.5 * spec.n_signal * (1.0 - q)
         sj2 = 0.5 * spec.n_signal * (1.0 + q)
     return si2, sj2, gbar - dg * np.sqrt(sj2 / si2), gbar + dg * np.sqrt(si2 / sj2)
@@ -261,9 +267,10 @@ def build_probe(spec: ProbeSpec, gen: Generator) -> ProbeResult:
 
     Eigenvalue matching is nearest-neighbor with ties toward the smaller
     index; the residual is reported so callers on coarse spectra can
-    refine. A vanishing spread target degenerates the optimal kind to the
+    refine. A spread target too small to split N over two modes (dg = 0,
+    or dg/|gbar| below about 1e-8) degenerates the optimal kind to the
     single-mode mean-optimal construction; the idler-assisted kind has no
-    such limit and raises InputError there. An explicit ``mode_choice``
+    such limit and raises InputError at zero spread. An explicit ``mode_choice``
     holds one index for the mean-optimal kind, four (signal, idler,
     signal, idler) for the idler-assisted kind and two for the others.
     The indices count generator eigenmodes in ascending eigenvalue order,
@@ -272,10 +279,9 @@ def build_probe(spec: ProbeSpec, gen: Generator) -> ProbeResult:
     InputError.
     """
     modes = _checked_modes(spec, gen.n_modes)
-    zero_spread = spec.target_gvar <= _ZERO_SPREAD
-    if spec.kind == "idler_assisted" and zero_spread:
+    if spec.kind == "idler_assisted" and spec.target_gvar <= _ZERO_SPREAD:
         raise InputError(f"idler_assisted needs target_gvar above {_ZERO_SPREAD:g}, got {spec.target_gvar:g}")
-    if spec.kind == "mean_optimal" or (spec.kind == "optimal" and zero_spread):
+    if spec.kind == "mean_optimal" or (spec.kind == "optimal" and not _splits(spec)):
         return _build_mean_optimal(spec, gen, modes)
     if spec.kind == "derivative_displaced":
         return _build_derivative_displaced(spec, gen, modes)

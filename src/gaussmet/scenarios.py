@@ -2,7 +2,7 @@
 displacement and beam tilt estimation with regularized two-Gaussian-mode
 probes.
 
-Provides the overlap integral of the two regularized modes, their 2x2
+Provides the closed-form overlap of the two regularized modes, their 2x2
 Schmidt analysis, assembly of the truncated generator in the Schmidt
 basis, closed-form QFIs of Hermite-Gauss product probes, and a sweep
 runner that tabulates probe families at fixed resources.
@@ -19,15 +19,14 @@ from . import measurement, metrology, optimal
 from .errors import (
     ConditionNotVerifiedWarning,
     GaussmetError,
-    GridTooCoarseError,
     InputError,
     RegularizationPoorError,
     RegularizationWarning,
 )
 from .gaussian import DisentangledForm
-from .generator import DiscretizationGrid, Generator, from_matrix
+from .generator import Generator, from_matrix
 from .metrology import ResourceTriple
-from .regmodes import RegularizedModePair, reg_mode_function
+from .regmodes import RegularizedModePair
 
 SCENARIO_KINDS = ("time_shift", "frequency_shift", "beam_displacement", "beam_tilt")
 
@@ -64,30 +63,18 @@ class ScenarioConfig:
             raise InputError("n_signal must be positive")
 
 
-def mode_overlap(pair: RegularizedModePair, grid: DiscretizationGrid) -> complex:
-    """Overlap integral of the two regularized modes on a trapezoid grid.
+def mode_overlap(pair: RegularizedModePair) -> complex:
+    """Overlap <mode 0|mode 1> of the two regularized modes, in closed form.
 
-    The grid must extend at least four widths beyond both centers; the
-    integral is re-evaluated at doubled resolution and a deviation above
-    1e-8 raises GridTooCoarseError.
+    With dz = z0 - z1 and dp = p0 - p1 the Gaussian integral gives
+    exp(-dz^2/(8 sigma^2) - sigma^2 dp^2/2) exp(i(theta0 - theta1 - (p0 + p1) dz/2)).
     """
-    lo = min(pair.center_z) - 4.0 * pair.sigma_z
-    hi = max(pair.center_z) + 4.0 * pair.sigma_z
-    if grid.z_min > lo or grid.z_max < hi:
-        raise GridTooCoarseError("grid does not cover 8 sigma around both centers")
-
-    def integrate(nodes: np.ndarray) -> complex:
-        plus = reg_mode_function(nodes, pair.center_z[0], pair.center_p[0], pair.sigma_z, pair.theta[0])
-        minus = reg_mode_function(nodes, pair.center_z[1], pair.center_p[1], pair.sigma_z, pair.theta[1])
-        return complex(np.trapezoid(np.conj(plus) * minus, nodes))
-
-    coarse = integrate(grid.quadrature_nodes())
-    fine = integrate(np.linspace(grid.z_min, grid.z_max, 2 * grid.n_bins + 1))
-    if abs(abs(fine) - abs(coarse)) > 1e-8:
-        raise GridTooCoarseError(
-            f"doubling the grid changes |overlap| by {abs(abs(fine) - abs(coarse)):.3e}"
-        )
-    return fine
+    (z0, z1), (p0, p1), (t0, t1) = pair.center_z, pair.center_p, pair.theta
+    dz, dp, sigma = z0 - z1, p0 - p1, pair.sigma_z
+    return complex(
+        np.exp(-(dz**2) / (8.0 * sigma**2) - 0.5 * sigma**2 * dp**2)
+        * np.exp(1j * (t0 - t1 - 0.5 * (p0 + p1) * dz))
+    )
 
 
 def schmidt_pair(r_plus: float, r_minus: float, overlap_mag: float) -> SchmidtPairResult:
@@ -98,7 +85,7 @@ def schmidt_pair(r_plus: float, r_minus: float, overlap_mag: float) -> SchmidtPa
     branch chi in [0, pi/2]; equal strengths with S > 0 give chi = pi/4.
     """
     if not (0.0 <= overlap_mag <= 1.0):
-        raise ValueError("overlap magnitude must lie in [0, 1]")
+        raise InputError("overlap magnitude must lie in [0, 1]")
     s2 = overlap_mag**2
     root = np.sqrt(4.0 * r_plus * r_minus * s2 + (r_plus - r_minus) ** 2)
     r1 = 0.5 * (r_minus + r_plus + root)
@@ -116,16 +103,6 @@ def schmidt_pair(r_plus: float, r_minus: float, overlap_mag: float) -> SchmidtPa
     return SchmidtPairResult(r1=float(r1), r2=float(r2), chi=float(chi), overlap=complex(overlap_mag))
 
 
-def _auto_grid(pair: RegularizedModePair) -> DiscretizationGrid:
-    """Grid resolving both the Gaussian widths and the carrier beat."""
-    lo = min(pair.center_z) - 6.0 * pair.sigma_z
-    hi = max(pair.center_z) + 6.0 * pair.sigma_z
-    beat = abs(pair.center_p[0] - pair.center_p[1])
-    per_unit = max(16.0 / pair.sigma_z, 8.0 * beat / np.pi, 8.0 / (hi - lo))
-    n_bins = min(int(np.ceil((hi - lo) * per_unit)) + 1, 400_000)
-    return DiscretizationGrid(z_min=lo, z_max=hi, n_bins=n_bins)
-
-
 def _ladder_coupling(level: int, sigma_z: float) -> complex:
     # coupling of Gaussian-family level `level` up to `level + 1`
     return -1j * np.sqrt((level + 1) / 2.0) / (np.sqrt(2.0) * sigma_z)
@@ -134,7 +111,6 @@ def _ladder_coupling(level: int, sigma_z: float) -> complex:
 def build_regularized_probe(
     cfg: ScenarioConfig,
     n_hg_levels: int = 2,
-    grid: DiscretizationGrid | None = None,
 ) -> tuple[DisentangledForm, Generator, ResourceTriple]:
     """Assemble the regularized two-mode probe and its truncated generator.
 
@@ -149,7 +125,7 @@ def build_regularized_probe(
     parameters.
     """
     if n_hg_levels < 2:
-        raise ValueError("need at least two Gaussian-family levels")
+        raise InputError("need at least two Gaussian-family levels")
     pair = cfg.pair
     if cfg.kind not in _P_DOMAIN_KINDS:
         # dual-domain estimation: exchange center/width roles
@@ -160,7 +136,7 @@ def build_regularized_probe(
             theta=pair.theta,
             r=pair.r,
         )
-    overlap = mode_overlap(pair, grid or _auto_grid(pair))
+    overlap = mode_overlap(pair)
     s_mag = abs(overlap)
     if s_mag >= _WARN_OVERLAP:
         raise RegularizationPoorError(
@@ -216,7 +192,7 @@ def hg_product_qfi(
     2 N (2 p0^2 (N + 2) + dg^2 (N + 3)) with dg^2 = 1/(2 sigma_z^2).
     """
     if s0_sq < 0 or s1_sq < 0:
-        raise ValueError("squeezing magnitudes must be nonnegative")
+        raise InputError("squeezing magnitudes must be nonnegative")
     c0_sq, c1_sq = s0_sq + 1.0, s1_sq + 1.0
     cs0 = np.sqrt(s0_sq * c0_sq)
     cs1 = np.sqrt(s1_sq * c1_sq)
@@ -266,7 +242,7 @@ def table_probe(kind: str, n_signal: float, gbar: float, dg: float):
         kind=kind, n_signal=n_signal, target_gmean=gbar, target_gvar=dg**2
     )
     if kind not in ("optimal", "variance_optimal"):
-        raise ValueError(f"unknown probe family {kind!r}")
+        raise InputError(f"unknown probe family {kind!r}")
     gen = from_matrix(np.diag(optimal._pair_split(spec)[2:]).astype(complex))
     return optimal.build_probe(spec, gen).state, gen
 

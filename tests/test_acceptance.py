@@ -127,10 +127,10 @@ def test_criterion_3_asymptotic_coefficients():
             want = 4.0 * (targets.g_mean**2 + targets.g_var)
             worst = max(worst, abs(got - want) / want)
             continue
-        fitted = metrology.optimality_coefficients(builder(kind), None, targets)
+        fitted = metrology.optimality_coefficients(builder(kind), targets)
         worst = max(worst, abs(fitted[0] - coeffs[0]), abs(fitted[1] - coeffs[1]))
     dd = metrology.optimality_coefficients(
-        builder("derivative_displaced"), None, targets, ns_values=(1e3, 2e3, 4e3, 8e3)
+        builder("derivative_displaced"), targets, ns_values=(1e3, 2e3, 4e3, 8e3)
     )
     worst = max(worst, abs(dd[0] - 2.0), abs(dd[1] - 4.0))
     ok = worst <= 1e-4
@@ -308,7 +308,7 @@ def test_criterion_10_hg_product_state():
         return state, gen_b
 
     coeffs = metrology.optimality_coefficients(
-        hg_builder, None, ResourceTriple(n_signal=10.0, g_mean=1.0, g_var=1.0)
+        hg_builder, ResourceTriple(n_signal=10.0, g_mean=1.0, g_var=1.0)
     )
     dev_coeff = max(abs(coeffs[0] - 4.0), abs(coeffs[1] - 2.0))
     ok = dev_closed <= 1e-9 and dev_engine <= 1e-9 and dev_coeff <= 1e-4

@@ -170,6 +170,8 @@ def test_verify_rejects_trial_count_below_one(trials, capsys):
         ("build-state", ["--kind", "optimal", "--ns", "2", "--modes", "7,8"], 3),
         ("build-state", ["--kind", "idler", "--ns", "2", "--modes", "0,1"], 3),
         ("build-state", ["--kind", "mean-optimal", "--ns", "2", "--modes", "5"], 3),
+        ("homodyne", ["--modes", "5"], 3),
+        ("homodyne", ["--modes", "-1"], 3),
     ],
 )
 def test_bad_input_exit_code_without_traceback(fixture_paths, capsys, command, extra, code):
@@ -500,3 +502,43 @@ def test_python_dash_m_runs_the_cli(fixture_paths, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected and proc.stderr == ""
+
+
+def _random_dense_generator(tmp_path, m, seed):
+    rng = np.random.default_rng(seed)
+    w = verify.random_unitary(rng, m)
+    g = (w * np.sort(rng.uniform(-2.0, 2.0, m))) @ w.conj().T
+    path = tmp_path / f"dense{m}.json"
+    path.write_text(json.dumps({"G": np.stack([g.real, g.imag], -1).tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, m", [("mean-optimal", 3), ("mean-optimal", 5), ("optimal", 5)])
+def test_homodyne_runs_on_built_state(tmp_path, capsys, kind, m):
+    # disentangling the built state leaves r ~ 1e-17 in its empty modes,
+    # in an arbitrary basis; homodyne measures and checks only the squeezed ones
+    gen_path = _random_dense_generator(tmp_path, m, seed=m)
+    state_path = str(tmp_path / "probe.json")
+    rc = cli.run(["build-state", "--kind", kind, "--ns", "2", "--gbar", "0.1", "--dg", "0.8",
+                  "--generator", gen_path, "--out", state_path])
+    assert rc == 0
+    capsys.readouterr()
+    assert cli.run(["qfi", "--state", state_path, "--generator", gen_path, "--full-precision"]) == 0
+    qfi = json.loads(capsys.readouterr().out)["qfi"]
+    rc = cli.run(["homodyne", "--state", state_path, "--generator", gen_path, "--full-precision"])
+    assert rc == 0, capsys.readouterr().err
+    # at eta = 1 homodyne of every squeezed eigenmode attains the QFI
+    assert json.loads(capsys.readouterr().out)["fi"] == pytest.approx(qfi, rel=1e-14)
+
+
+def test_build_state_optimal_falls_back_below_splitting_spread(tmp_path, capsys):
+    # dg 1e-9 at gbar 1 cannot move q = gbar / hypot(gbar, dg) off 1, so
+    # the optimal kind builds the mean-optimal probe, as at dg 0
+    gen_path = _random_dense_generator(tmp_path, 3, seed=0)
+    outs = {}
+    for dg in ("0", "1e-9"):
+        outs[dg] = tmp_path / f"dg{dg}.json"
+        rc = cli.run(["build-state", "--kind", "optimal", "--ns", "2", "--gbar", "1", "--dg", dg,
+                      "--generator", gen_path, "--out", str(outs[dg])])
+        assert rc == 0, capsys.readouterr().err
+    assert outs["1e-9"].read_bytes() == outs["0"].read_bytes()

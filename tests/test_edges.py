@@ -1,12 +1,15 @@
 """Validation, error-path, and determinism edges across the package."""
 
+import ast
 import dataclasses
 import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+import gaussmet
 from gaussmet import cli, focksim, generator, jsonio, matkernel, measurement, metrology, optimal, scenarios, verify
 from gaussmet.errors import DimensionMismatchError, InputError
 from gaussmet.gaussian import DisentangledForm
@@ -35,26 +38,15 @@ def test_unitary_exp_rejects_non_hermitian():
         matkernel.unitary_exp(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1.0)
 
 
-def test_grid_default_dual_offset_is_centered():
-    grid = DiscretizationGrid(z_min=-2.0, z_max=2.0, n_bins=4)
-    p = grid.p_values
-    # centered dual grid: symmetric about zero for even bin counts
-    assert np.allclose(p + p[::-1], 0.0, atol=1e-12)
-    assert grid.p_min == pytest.approx(-np.pi / grid.delta_z + grid.delta_p / 2.0)
-
-
 def test_shift_generator_rejects_unknown_domain():
     grid = DiscretizationGrid(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         generator.shift_generator(grid, "sideways_shift")
 
 
-def test_hg_generator_rejects_unknown_sign_and_tiny_basis():
-    hg = generator.HGParams()
-    with pytest.raises(ValueError):
-        generator.hg_generator(hg, 3, domain_sign="p_shift")
-    with pytest.raises(ValueError):
-        generator.hg_generator(hg, 1)
+def test_hg_generator_rejects_tiny_basis():
+    with pytest.raises(InputError):
+        generator.hg_generator(generator.HGParams(), 1)
 
 
 def test_nearest_match_tie_breaks_to_smaller_index():
@@ -274,3 +266,16 @@ def test_generator_json_round_trip(tmp_path):
     loaded = jsonio.generator_from_dict(jsonio.load_json(str(path)))
     assert np.array_equal(loaded.G, gen.G)
     assert loaded.signal_tol == gen.signal_tol
+
+
+def test_src_raises_only_package_errors():
+    # every error the package raises is a GaussmetError; InputError also
+    # subclasses ValueError, so callers catching ValueError still work
+    bare = []
+    for path in sorted(pathlib.Path(gaussmet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    bare.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert bare == []

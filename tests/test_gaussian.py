@@ -58,41 +58,6 @@ def test_round_trip_random_states():
         assert max_norm(state.beta - state2.beta) < 1e-9
 
 
-def test_covariance_vacuum():
-    d = gaussian.DisentangledForm(V=np.eye(1, dtype=complex), alpha=np.zeros(1, complex), r=np.zeros(1))
-    cov = gaussian.to_covariance(d)
-    assert np.allclose(cov.Sigma, np.eye(2))
-    assert np.allclose(cov.mean, 0.0)
-
-
-def test_covariance_squeezed_block():
-    d = gaussian.DisentangledForm(
-        V=np.eye(1, dtype=complex), alpha=np.zeros(1, complex), r=np.array([0.5])
-    )
-    cov = gaussian.to_covariance(d)
-    assert np.allclose(np.diag(cov.Sigma), [np.e, 1.0 / np.e])
-
-
-def test_covariance_mean_quadratures():
-    alpha = np.array([(1.0 + 1.0j) / np.sqrt(2.0)])
-    d = gaussian.DisentangledForm(V=np.eye(1, dtype=complex), alpha=alpha, r=np.zeros(1))
-    cov = gaussian.to_covariance(d)
-    assert np.allclose(cov.mean, [1.0, 1.0])
-    assert np.allclose(cov.Sigma, np.eye(2))
-
-
-def test_photon_number_consistency_and_purity():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        m = int(rng.integers(1, 9))
-        d = _random_state(rng, m)
-        cov = gaussian.to_covariance(d)
-        n_direct = gaussian.total_photon_number(d)
-        n_cov = np.trace(cov.Sigma - np.eye(2 * m)) / 4.0 + np.dot(cov.mean, cov.mean) / 2.0
-        assert abs(n_direct - n_cov) < 1e-9 * (1.0 + n_direct)
-        assert np.linalg.det(cov.Sigma) == pytest.approx(1.0, abs=1e-8)
-
-
 def test_json_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     state = gaussian.assemble(_random_state(rng, 3))

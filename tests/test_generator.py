@@ -57,17 +57,6 @@ def test_signal_projector_properties_random():
         assert max_norm(gen.G @ p - gen.G) < 1e-9 * max(1.0, max_norm(gen.G))
 
 
-def test_grid_fourier_duality_identity():
-    for grid in [
-        DiscretizationGrid(0.0, 4.0, 4),
-        DiscretizationGrid(-3.7, 9.2, 17),
-        DiscretizationGrid(-1.0, 1.0, 2),
-    ]:
-        assert grid.delta_z * grid.delta_p * grid.n_bins == pytest.approx(
-            2.0 * np.pi, abs=1e-12
-        )
-
-
 def test_shift_generator_uniform_grid():
     gen = generator.shift_generator(DiscretizationGrid(0.0, 4.0, 4), "time_shift")
     assert np.allclose(gen.G, np.diag([0.0, 1.0, 2.0, 3.0]))

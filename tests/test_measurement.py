@@ -18,33 +18,37 @@ def _probe(g_count, s_sq):
     )
 
 
+def _variance(d, phase, lam, eta=1.0, sigma_env_sq=1.0):
+    """Outcome variance of homodyning mode 0 at an explicit phase."""
+    setup = HomodyneSetup(
+        mode_indices=(0,), phases=(phase,), eta=eta, sigma_env_sq=sigma_env_sq, true_param=lam
+    )
+    return measurement.homodyne_fi(d, GEN13, setup).variances[0]
+
+
 def test_variance_vacuum_shot_noise():
     d = _probe(2, [0.0, 0.0])
     for phase in (0.0, 0.4, 1.3):
         for lam in (0.0, 2.0):
-            assert measurement.homodyne_variance(d, GEN13, 0, phase, lam) == pytest.approx(0.5)
+            assert _variance(d, phase, lam) == pytest.approx(0.5)
 
 
 def test_variance_squeezed_formula():
     d = _probe(2, [1.0, 1.0])
     # sinh 2r = 2 sqrt(2), cosh 2r = 3 at s^2 = 1; phase + lam g = 0
-    assert measurement.homodyne_variance(d, GEN13, 0, 0.0, 0.0) == pytest.approx(
-        (2.0 * np.sqrt(2.0) + 3.0) / 2.0
-    )
+    assert _variance(d, 0.0, 0.0) == pytest.approx((2.0 * np.sqrt(2.0) + 3.0) / 2.0)
 
 
 def test_variance_loss_on_vacuum():
     d = _probe(2, [0.0, 0.0])
-    assert measurement.homodyne_variance(
-        d, GEN13, 0, 0.3, 0.0, eta=0.5, sigma_env_sq=1.0
-    ) == pytest.approx(0.5)
+    assert _variance(d, 0.3, 0.0, eta=0.5, sigma_env_sq=1.0) == pytest.approx(0.5)
 
 
 def test_homodyne_requires_eigenbasis():
     v = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     d = DisentangledForm(V=v, alpha=np.zeros(2, complex), r=np.array([0.5, 0.0]))
     with pytest.raises(StateNotEigenbasisDiagonalError):
-        measurement.homodyne_variance(d, GEN13, 0, 0.0, 0.0)
+        _variance(d, 0.0, 0.0)
 
 
 def test_homodyne_fi_matches_qfi_ideal():

@@ -355,18 +355,18 @@ def _builder(kind):
 
 def test_optimality_coefficients_families():
     targets = ResourceTriple(n_signal=10.0, g_mean=2.0, g_var=1.5)
-    c_opt = metrology.optimality_coefficients(_builder("optimal"), None, targets)
+    c_opt = metrology.optimality_coefficients(_builder("optimal"), targets)
     assert c_opt == pytest.approx((8.0, 4.0), abs=1e-6)
-    c_var = metrology.optimality_coefficients(_builder("variance_optimal"), None, targets)
+    c_var = metrology.optimality_coefficients(_builder("variance_optimal"), targets)
     assert c_var == pytest.approx((4.0, 4.0), abs=1e-6)
-    c_mean = metrology.optimality_coefficients(_builder("mean_optimal"), None, targets)
+    c_mean = metrology.optimality_coefficients(_builder("mean_optimal"), targets)
     assert c_mean == pytest.approx((8.0, 0.0), abs=1e-6)
 
 
 def test_optimality_coefficients_requires_usable_targets():
     targets = ResourceTriple(n_signal=10.0, g_mean=0.0, g_var=1.0)
     with pytest.raises(FitIllConditionedError):
-        metrology.optimality_coefficients(_builder("optimal"), None, targets)
+        metrology.optimality_coefficients(_builder("optimal"), targets)
 
 
 def test_strict_bound_formula_identity():

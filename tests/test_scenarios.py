@@ -4,29 +4,22 @@ import numpy as np
 import pytest
 
 from gaussmet import measurement, metrology, scenarios
-from gaussmet.errors import GridTooCoarseError, InputError, RegularizationPoorError, RegularizationWarning
+from gaussmet.errors import InputError, RegularizationPoorError, RegularizationWarning
 from gaussmet.gaussian import DisentangledForm
-from gaussmet.generator import DiscretizationGrid, HGParams, hg_generator
-from gaussmet.regmodes import RegularizedModePair
+from gaussmet.generator import HGParams, hg_generator
+from gaussmet.regmodes import RegularizedModePair, reg_mode_function
 from gaussmet.scenarios import ScenarioConfig
-
-
-def _grid_for(pair, n_bins=4000):
-    lo = min(pair.center_z) - 6.0 * pair.sigma_z
-    hi = max(pair.center_z) + 6.0 * pair.sigma_z
-    return DiscretizationGrid(z_min=lo, z_max=hi, n_bins=n_bins)
 
 
 def test_overlap_identical_modes_is_one():
     pair = RegularizedModePair(center_z=(0.3, 0.3), center_p=(2.0, 2.0), sigma_z=0.7)
-    grid = DiscretizationGrid(z_min=0.3 - 9.0 * 0.7, z_max=0.3 + 9.0 * 0.7, n_bins=20000)
-    s = scenarios.mode_overlap(pair, grid)
+    s = scenarios.mode_overlap(pair)
     assert abs(s) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_overlap_far_separated_carriers():
     pair = RegularizedModePair(center_z=(0.0, 0.0), center_p=(20.0, -20.0), sigma_z=1.0)
-    s = scenarios.mode_overlap(pair, _grid_for(pair, n_bins=20000))
+    s = scenarios.mode_overlap(pair)
     assert abs(s) < 1e-6
 
 
@@ -36,14 +29,32 @@ def test_overlap_gaussian_law_in_z():
         pair = RegularizedModePair(
             center_z=(dz / 2.0, -dz / 2.0), center_p=(1.0, 1.0), sigma_z=sigma
         )
-        s = scenarios.mode_overlap(pair, _grid_for(pair, n_bins=8000))
+        s = scenarios.mode_overlap(pair)
         assert abs(s) == pytest.approx(np.exp(-(dz**2) / (8.0 * sigma**2)), abs=1e-8)
 
 
-def test_overlap_rejects_narrow_grid():
-    pair = RegularizedModePair(center_z=(0.0, 4.0), center_p=(0.0, 0.0), sigma_z=1.0)
-    with pytest.raises(GridTooCoarseError):
-        scenarios.mode_overlap(pair, DiscretizationGrid(-1.0, 5.0, 100))
+def test_overlap_closed_form_matches_trapezoid_integral():
+    # anchor: the complex overlap, phase included, against a direct
+    # trapezoid integral of conj(mode 0) * mode 1 on a fine grid
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        sigma = rng.uniform(0.3, 2.0)
+        # centers within 3 widths of each other, so the overlap is not negligible
+        half_dz, half_dp = 1.5 * sigma * rng.uniform(-1.0, 1.0), 1.5 / sigma * rng.uniform(-1.0, 1.0)
+        z0, p0 = rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0)
+        pair = RegularizedModePair(
+            center_z=(z0 + half_dz, z0 - half_dz),
+            center_p=(p0 + half_dp, p0 - half_dp),
+            sigma_z=sigma,
+            theta=tuple(rng.uniform(-np.pi, np.pi, 2)),
+        )
+        z = np.linspace(min(pair.center_z) - 12.0 * sigma, max(pair.center_z) + 12.0 * sigma, 40001)
+        modes = [
+            reg_mode_function(z, pair.center_z[k], pair.center_p[k], sigma, pair.theta[k])
+            for k in (0, 1)
+        ]
+        numeric = np.trapezoid(np.conj(modes[0]) * modes[1], z)
+        assert abs(scenarios.mode_overlap(pair) - numeric) < 1e-12
 
 
 def test_schmidt_pair_equal_strengths():
