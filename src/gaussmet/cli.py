@@ -49,11 +49,16 @@ class _UsageError(Exception):
     pass
 
 
-def _trial_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"trial count must be at least 1, got {count}")
-    return count
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -104,8 +109,8 @@ def _build_parser() -> _Parser:
     p_hom.add_argument("--phases", type=_phases, default="auto")
     p_hom.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_hom.add_argument("--modes", type=_ints, default=None, help="modes to homodyne (default: squeezed ones)")
-    p_hom.add_argument("--samples", type=int, default=0)
-    p_hom.add_argument("--seed", type=int, default=0)
+    p_hom.add_argument("--samples", type=_int_at_least(0), default=0)
+    p_hom.add_argument("--seed", type=_int_at_least(0), default=0)
     p_hom.add_argument("--samples-out", default=None, help="CSV path prefix, one file per mode")
     p_hom.add_argument("--out")
     p_hom.add_argument("--full-precision", action="store_true")
@@ -118,8 +123,8 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="randomized verification suites")
     p_ver.add_argument("--suite", default="all", choices=["bound", "oracle", "lemma2", "all"])
-    p_ver.add_argument("--trials", type=_trial_count, default=200)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--trials", type=_int_at_least(1), default=200)
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
     return parser
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel
-from .errors import InputError, TailTooLargeError, TooManyModesError
+from .errors import InputError, TailTooLargeError
 from .gaussian import DisentangledForm
 from .generator import Generator
 
@@ -193,7 +193,7 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
     """
     m = d.n_modes
     if m > MAX_MODES:
-        raise TooManyModesError(f"oracle supports up to {MAX_MODES} modes, got {m}")
+        raise InputError(f"oracle supports up to {MAX_MODES} modes, got {m}")
     c = cfg.cutoff
     psi = np.ones(1, dtype=complex)
     for n in range(m):
@@ -242,7 +242,7 @@ def fock_qfi(psi: FockStateVector, gen: Generator) -> float:
     is used.
     """
     if gen.n_modes != psi.n_modes:
-        raise TooManyModesError("generator and state mode counts differ")
+        raise InputError(f"generator has {gen.n_modes} modes but state has {psi.n_modes}")
     mean, second = _generator_moments(psi.amplitudes, gen.G)
     return 4.0 * (second - mean**2)
 
@@ -284,7 +284,7 @@ def fock_counting_fi(
     def counted_probs(lam: float) -> np.ndarray:
         psi = psi_builder(lam)
         if psi.n_modes > MAX_MODES:
-            raise TooManyModesError("too many modes for the counting oracle")
+            raise InputError("too many modes for the counting oracle")
         amps = psi.amplitudes
         if basis_rotation is not None:
             amps = apply_mode_transform(amps, np.asarray(basis_rotation, complex), psi.cutoff)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel
-from .errors import DimensionMismatchError, InputError
+from .errors import InputError
 
 _UNITARY_TOL = 1e-10
 
@@ -30,14 +30,10 @@ class GaussianPureState:
     def __post_init__(self):
         beta = matkernel.require_finite(np.asarray(self.beta, dtype=complex), "beta")
         if beta.shape != (self.n_modes,):
-            raise DimensionMismatchError(
-                f"beta has shape {beta.shape}, expected ({self.n_modes},)"
-            )
+            raise InputError(f"beta has shape {beta.shape}, expected ({self.n_modes},)")
         f = matkernel.require_symmetric(np.asarray(self.f, dtype=complex), name="f")
         if f.shape != (self.n_modes, self.n_modes):
-            raise DimensionMismatchError(
-                f"f has shape {f.shape}, expected {(self.n_modes, self.n_modes)}"
-            )
+            raise InputError(f"f has shape {f.shape}, expected {(self.n_modes, self.n_modes)}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "f", f)
 
@@ -58,13 +54,13 @@ class DisentangledForm:
         v = matkernel.require_finite(np.asarray(self.V, dtype=complex), "V")
         m = v.shape[0]
         if v.shape != (m, m):
-            raise DimensionMismatchError("V must be square")
+            raise InputError("V must be square")
         if matkernel.max_norm(v.conj().T @ v - np.eye(m)) > _UNITARY_TOL * m:
             raise InputError("V is not unitary within tolerance")
         alpha = matkernel.require_finite(np.asarray(self.alpha, dtype=complex), "alpha")
         r = np.asarray(self.r, dtype=float)
         if alpha.shape != (m,) or r.shape != (m,):
-            raise DimensionMismatchError("alpha and r must have length n_modes")
+            raise InputError("alpha and r must have length n_modes")
         if np.any(r < -1e-12):
             raise InputError("squeezing magnitudes must be nonnegative")
         object.__setattr__(self, "V", v)

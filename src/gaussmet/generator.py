@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import matkernel
-from .errors import InputError, ModesNotOrthonormalError
+from .errors import InputError
 
 SHIFT_DOMAINS = ("time_shift", "frequency_shift", "beam_displacement", "beam_tilt")
 
@@ -27,6 +27,9 @@ _DIAGONAL_BASIS = {
 }
 
 DEFAULT_SIGNAL_TOL = 1e-12
+
+# largest Gram-matrix deviation from the identity generator_from_modes accepts
+_GRAM_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,7 @@ class DiscretizationGrid:
         return np.linspace(self.z_min, self.z_max, self.n_bins + 1)
 
 
-def shift_generator(
-    grid: DiscretizationGrid,
-    domain: str,
-    physical_scale: float = 1.0,
-    signal_tol: float = DEFAULT_SIGNAL_TOL,
-) -> Generator:
+def shift_generator(grid: DiscretizationGrid, domain: str, physical_scale: float = 1.0) -> Generator:
     """Diagonal generator of a shift transformation on a uniform grid.
 
     Eigenvalues are the grid points times ``physical_scale`` (the ratio
@@ -131,7 +129,6 @@ def shift_generator(
     values = physical_scale * grid.z_values
     return from_matrix(
         np.diag(values.astype(complex)),
-        signal_tol=signal_tol,
         basis_label=_DIAGONAL_BASIS[domain],
         meta={"domain": domain, "physical_scale": physical_scale},
     )
@@ -151,11 +148,7 @@ class HGParams:
             raise InputError("sigma_z must be positive")
 
 
-def hg_generator(
-    hg: HGParams,
-    n_modes: int,
-    signal_tol: float = DEFAULT_SIGNAL_TOL,
-) -> Generator:
+def hg_generator(hg: HGParams, n_modes: int) -> Generator:
     """Shift generator in a truncated Hermite-Gauss mode basis.
 
     G[n, m] = i/(sqrt(2) sigma) (sqrt(m/2) d_{n,m-1} - sqrt((m+1)/2) d_{n,m+1})
@@ -177,7 +170,6 @@ def hg_generator(
     dropped = pref * np.sqrt(m / 2.0)
     return from_matrix(
         g,
-        signal_tol=signal_tol,
         basis_label="hermite_gauss",
         meta={"dropped_coupling": dropped, "hg_params": hg},
     )
@@ -200,8 +192,6 @@ def generator_from_modes(
     lam0: float,
     fd_step: float,
     quadrature_grid: DiscretizationGrid,
-    gram_tol: float = 1e-4,
-    signal_tol: float = DEFAULT_SIGNAL_TOL,
 ) -> Generator:
     """Extract the generator matrix from a parameterized mode family.
 
@@ -219,10 +209,8 @@ def generator_from_modes(
         [[np.trapezoid(np.conj(mn) * mm, z) for mm in modes0] for mn in modes0]
     )
     gram_dev = matkernel.max_norm(gram - np.eye(n_modes))
-    if gram_dev > gram_tol:
-        raise ModesNotOrthonormalError(
-            f"mode family Gram matrix deviates from identity by {gram_dev:.3e}"
-        )
+    if gram_dev > _GRAM_TOL:
+        raise InputError(f"mode family Gram matrix deviates from identity by {gram_dev:.3e}")
     plus = np.array([mode_family(n, z, lam0 + fd_step) for n in range(n_modes)])
     minus = np.array([mode_family(n, z, lam0 - fd_step) for n in range(n_modes)])
     dmodes = (plus - minus) / (2.0 * fd_step)
@@ -234,7 +222,6 @@ def generator_from_modes(
     residual = matkernel.max_norm(raw - raw.conj().T) / 2.0
     return from_matrix(
         herm,
-        signal_tol=signal_tol,
         basis_label="mode_family",
         meta={"anti_hermitian_residual": residual, "gram_deviation": gram_dev},
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GaussmetError, InputError
 from .gaussian import GaussianPureState
-from .generator import Generator, from_matrix
+from .generator import DEFAULT_SIGNAL_TOL, Generator, from_matrix
 from .regmodes import RegularizedModePair
 from .scenarios import ScenarioConfig
 
@@ -34,12 +34,19 @@ def _pairs(a: np.ndarray) -> list:
 
 def _parse_array(obj: Any, where: str, ndim: int) -> np.ndarray:
     """Non-empty (M,) or (M, M') complex array from pairs of shape (M, 2)
-    (``ndim`` 2) or (M, M', 2) (``ndim`` 3); numpy reads ``null`` as NaN,
-    so every entry must be finite."""
+    (``ndim`` 2) or (M, M', 2) (``ndim`` 3). Strings and all-boolean
+    arrays are rejected; ``null`` and integers wider than 64 bits leave
+    numpy an object array, read again as floats (``null`` as NaN), so
+    every entry must be finite."""
     try:
-        a = np.array(obj, dtype=float)
+        a = np.array(obj)
+        if a.dtype.kind == "O":
+            a = np.array(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: expected nested lists of numeric [re, im] pairs ({exc})") from exc
+    if a.dtype.kind in "Ub":
+        raise InputError(f"{where}: entries must be numbers, not strings or booleans")
+    a = a.astype(float, copy=False)
     if a.ndim != ndim or a.shape[-1] != 2 or a.size == 0:
         raise InputError(f"{where}: expected a non-empty array of [re, im] pairs, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -79,7 +86,7 @@ def generator_to_dict(gen: Generator) -> dict:
 def generator_from_dict(obj: dict) -> Generator:
     try:
         g = _parse_array(obj["G"], "G", 3)
-        tol = float(obj.get("signal_tol", 1e-12))
+        tol = float(obj.get("signal_tol", DEFAULT_SIGNAL_TOL))
     except KeyError as exc:
         raise InputError("generator file missing field 'G'") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,8 +1,8 @@
 """Dense complex-matrix kernel: Hermitian eigendecompositions, Takagi
 factorizations of complex symmetric matrices, and unitary exponentials.
 
-Every routine validates its input against a max-norm relative tolerance
-(default 1e-10) and produces deterministic output for identical input,
+Every routine validates its input against the max-norm relative tolerance
+``DEFAULT_TOL`` (1e-10) and produces deterministic output for identical input,
 including inside degenerate eigenvalue or singular-value clusters.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonFiniteError, NotHermitianError, NotSymmetricError
+from .errors import InputError
 
 DEFAULT_TOL = 1e-10
 
@@ -27,27 +27,27 @@ def max_norm(a: np.ndarray) -> float:
 def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NonFiniteError(f"{name} contains NaN or infinite entries")
+        raise InputError(f"{name} contains NaN or infinite entries")
     return a
 
 
-def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = require_finite(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotHermitianError(f"{name} must be square, got shape {a.shape}")
+        raise InputError(f"{name} must be square, got shape {a.shape}")
     dev = max_norm(a - a.conj().T)
-    if dev > tol * max(1.0, max_norm(a)):
-        raise NotHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
+    if dev > DEFAULT_TOL * max(1.0, max_norm(a)):
+        raise InputError(f"{name} deviates from Hermitian by {dev:.3e}")
     return (a + a.conj().T) / 2.0
 
 
-def require_symmetric(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = require_finite(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetricError(f"{name} must be square, got shape {a.shape}")
+        raise InputError(f"{name} must be square, got shape {a.shape}")
     dev = max_norm(a - a.T)
-    if dev > tol * max(1.0, max_norm(a)):
-        raise NotSymmetricError(f"{name} deviates from symmetric by {dev:.3e}")
+    if dev > DEFAULT_TOL * max(1.0, max_norm(a)):
+        raise InputError(f"{name} deviates from symmetric by {dev:.3e}")
     return (a + a.T) / 2.0
 
 
@@ -112,14 +112,14 @@ def _pivoted_basis(subspace: np.ndarray) -> np.ndarray:
     return np.column_stack(chosen)
 
 
-def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEig:
+def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
 
     Inside eigenvalue clusters closer than 1e-9 * max|a| the eigenvectors
     are re-orthonormalized deterministically; isolated eigenvectors get a
-    fixed phase. Raises NotHermitianError / NonFiniteError on bad input.
+    fixed phase. Raises InputError on non-Hermitian or non-finite input.
     """
-    a = require_hermitian(a, tol)
+    a = require_hermitian(a)
     w, u = np.linalg.eigh(a)
     gap = 1e-9 * max(1.0, max_norm(a))
     cols = []
@@ -133,7 +133,7 @@ def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEig:
     return HermitianEig(eigvals=w, U=np.column_stack(cols))
 
 
-def takagi(f: np.ndarray, tol: float = DEFAULT_TOL) -> TakagiFactorization:
+def takagi(f: np.ndarray) -> TakagiFactorization:
     """Takagi factorization f = V diag(r) V^T of a complex symmetric matrix.
 
     Built on the SVD: the symmetric unitary residue U^H f conj(U) is
@@ -141,7 +141,7 @@ def takagi(f: np.ndarray, tol: float = DEFAULT_TOL) -> TakagiFactorization:
     square root absorbs the remaining mixing. Zero singular values keep
     their SVD columns unchanged.
     """
-    f = require_symmetric(f, tol)
+    f = require_symmetric(f)
     m = f.shape[0]
     if max_norm(f) == 0.0:
         return TakagiFactorization(V=np.eye(m, dtype=complex), r=np.zeros(m))
@@ -163,8 +163,8 @@ def takagi(f: np.ndarray, tol: float = DEFAULT_TOL) -> TakagiFactorization:
     return TakagiFactorization(V=v, r=sigma)
 
 
-def unitary_exp(h: np.ndarray, scale: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def unitary_exp(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(-1j * scale * h) for Hermitian h, unitary to working precision."""
-    eig = hermitian_eig(h, tol)
+    eig = hermitian_eig(h)
     phases = np.exp(-1j * scale * eig.eigvals)
     return (eig.U * phases) @ eig.U.conj().T

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel, metrology
-from .errors import ConditionNotVerifiedWarning, InputError, StateNotEigenbasisDiagonalError
+from .errors import ConditionNotVerifiedWarning, InputError
 from .gaussian import DisentangledForm
 from .generator import DiscretizationGrid, Generator, from_matrix, signal_projector
 from .regmodes import RegularizedModePair, reg_mode_function
 
 _DIAG_TOL = 1e-9
 _PHASE_AMP_FLOOR = 1e-12
+_SHIFT_STEP = 1e-6  # central-difference step in the shift of counting_condition_check
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,11 @@ def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...])
         col = np.abs(gt[:, n]).copy()
         col[n] = 0.0
         if col.max() > _DIAG_TOL * scale:
-            raise StateNotEigenbasisDiagonalError(
+            raise InputError(
                 f"state mode {n} is not a generator eigenmode (coupling {col.max():.3e})"
             )
     if any(abs(d.alpha[n]) > 0 for n in modes):
-        raise StateNotEigenbasisDiagonalError(
+        raise InputError(
             "homodyne formulas assume squeezed-vacuum modes; measured mode is displaced"
         )
     return [(float(gt[n, n].real), float(d.r[n])) for n in modes]
@@ -231,7 +232,6 @@ def counting_condition_check(
     pair: RegularizedModePair,
     grid: DiscretizationGrid,
     shift_samples: np.ndarray | list[float],
-    fd_step: float = 1e-6,
 ) -> tuple[float, bool]:
     """Check the phase condition for counting-based (direct) detection.
 
@@ -269,7 +269,7 @@ def counting_condition_check(
     worst = 0.0
     for a in np.asarray(shift_samples, dtype=float):
         g0 = amplitude(a)
-        dg = (amplitude(a + fd_step) - amplitude(a - fd_step)) / (2.0 * fd_step)
+        dg = (amplitude(a + _SHIFT_STEP) - amplitude(a - _SHIFT_STEP)) / (2.0 * _SHIFT_STEP)
         mag = np.abs(g0)
         # amplitude floor: absolute for undefined phases at zeros, plus a
         # relative conditioning floor so cancellation noise near zeros of

@@ -23,9 +23,11 @@ from typing import Callable
 import numpy as np
 
 from . import matkernel
-from .errors import DimensionMismatchError, FitIllConditionedError, NotPSDError
+from .errors import InputError
 from .gaussian import DisentangledForm
 from .generator import Generator, signal_projector
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,9 @@ class QfiWorkspace:
 class ResourceTriple:
     """Signal photon number and generator-intensity mean and variance.
 
-    When the signal photon number vanishes the mean and variance are
-    undefined; they are reported as zero with ``well_defined`` False.
+    When the signal photon number vanishes (to round-off, see
+    :func:`resources`) the mean and variance are undefined; they are
+    reported as zero with ``well_defined`` False.
     """
 
     n_signal: float
@@ -65,9 +68,7 @@ class QfiReport:
 
 def _check_dims(d: DisentangledForm, gen: Generator) -> None:
     if d.n_modes != gen.n_modes:
-        raise DimensionMismatchError(
-            f"state has {d.n_modes} modes but generator has {gen.n_modes}"
-        )
+        raise InputError(f"state has {d.n_modes} modes but generator has {gen.n_modes}")
 
 
 def build_workspace(d: DisentangledForm, gen: Generator) -> QfiWorkspace:
@@ -86,13 +87,16 @@ def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
     one-photon density matrix, N_S = Tr[P^2 rho] for the signal projector
     P and the variance is Tr[H^2 rho] / N_S for the mean-removed generator
     H = Gtilde - gbar P; both are summed as squared norms, so neither is
-    negative, and the resources are undefined only when N_S is exactly 0.
+    negative. The resources are undefined when N_S is at most the squared
+    round-off of P, (M eps)^2, times the total photon number: such an N_S
+    is the eigenvectors' error, not signal photons.
     """
     ws = build_workspace(d, gen)
     s2 = ws.S**2
     pt = d.V.conj().T @ signal_projector(gen) @ d.V
     n_signal = float(np.sum(np.sum(np.abs(pt) ** 2, axis=0) * s2) + np.sum(np.abs(pt @ d.alpha) ** 2))
-    if n_signal == 0.0:
+    n_total = s2.sum() + np.vdot(d.alpha, d.alpha).real
+    if n_signal <= (d.n_modes * _EPS) ** 2 * n_total:
         return ResourceTriple(n_signal=0.0, g_mean=0.0, g_var=0.0, well_defined=False)
     first = float(
         np.real(np.sum(np.diag(ws.Gtilde).real * s2) + d.alpha.conj() @ ws.Gtilde @ d.alpha)
@@ -164,20 +168,20 @@ def qfi(d: DisentangledForm, gen: Generator) -> QfiReport:
     )
 
 
-def lemma2_gap(h: np.ndarray, q: np.ndarray, tol: float = 1e-10) -> float:
+def lemma2_gap(h: np.ndarray, q: np.ndarray) -> float:
     """Value of 4 Tr[HQ]^2 + 4 Tr[H^2 Q] Tr[Q] - 8 Tr[HQHQ].
 
     Nonnegative for Hermitian H and positive-semidefinite Q; this is the
-    trace inequality behind the resource bound. Raises NotPSDError if Q
-    has an eigenvalue below -tol (relative to its scale).
+    trace inequality behind the resource bound. Raises InputError if Q
+    has an eigenvalue below -matkernel.DEFAULT_TOL (relative to its scale).
     """
     h = matkernel.require_hermitian(np.asarray(h, dtype=complex), name="H")
     q = matkernel.require_hermitian(np.asarray(q, dtype=complex), name="Q")
     if h.shape != q.shape:
-        raise DimensionMismatchError("H and Q must have equal shape")
+        raise InputError("H and Q must have equal shape")
     min_eig = float(np.min(np.linalg.eigvalsh(q)))
-    if min_eig < -tol * max(1.0, matkernel.max_norm(q)):
-        raise NotPSDError(f"Q has eigenvalue {min_eig:.3e} below PSD tolerance")
+    if min_eig < -matkernel.DEFAULT_TOL * max(1.0, matkernel.max_norm(q)):
+        raise InputError(f"Q has eigenvalue {min_eig:.3e} below PSD tolerance")
     hq = h @ q
     tr_hq = float(np.real(np.trace(hq)))
     tr_h2q = float(np.real(np.trace(h @ hq)))
@@ -206,10 +210,10 @@ def optimality_coefficients(
     """
     ns = np.asarray(ns_values, dtype=float)
     if len(np.unique(ns)) < 3:
-        raise FitIllConditionedError("need at least three distinct photon numbers")
+        raise InputError("need at least three distinct photon numbers")
     gbar0, dg0 = res_targets.g_mean, np.sqrt(res_targets.g_var)
     if abs(gbar0) < 1e-12 or dg0 < 1e-12:
-        raise FitIllConditionedError(
+        raise InputError(
             "resource targets must have nonzero mean and variance to separate coefficients"
         )
     settings = [(gbar0, dg0), (0.5 * gbar0, dg0)]
@@ -235,6 +239,6 @@ def optimality_coefficients(
         ]
     )
     if np.linalg.cond(design) > 1e12:
-        raise FitIllConditionedError("resource settings do not separate the coefficients")
+        raise InputError("resource settings do not separate the coefficients")
     c_gbar, c_dg = np.linalg.solve(design, np.array([a1, a2]))
     return float(c_gbar), float(c_dg)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .errors import (
-    ConditionViolatedError,
-    DimensionMismatchError,
-    InputError,
-    NoIdlerModesError,
-    SpectrumUnreachableError,
-)
+from .errors import InputError
 from .gaussian import DisentangledForm
 from .generator import Generator
 
@@ -74,7 +68,7 @@ def _nearest_signal_index(gen: Generator, value: float, taken: set[int]) -> int:
         idx = int(idx)
         if idx not in taken and not gen.idler_mask[idx]:
             return idx
-    raise SpectrumUnreachableError("no free signal eigenvalue available")
+    raise InputError("no free signal eigenvalue available")
 
 
 def _phase_diag(m: int, entries: dict[int, float]) -> np.ndarray:
@@ -163,13 +157,13 @@ def _build_two_mode(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...] | No
     else:
         idlers = tuple(gen.idler_indices[:2]) if with_idlers else ()
         if with_idlers and len(idlers) < 2:
-            raise NoIdlerModesError("generator provides fewer than two idler modes")
+            raise InputError("generator provides fewer than two idler modes")
         i = _nearest_signal_index(gen, want_i, set())
         j = _nearest_signal_index(gen, want_j, {i})
     g = gen.eig.eigvals
     residual = max(abs(g[i] - want_i), abs(g[j] - want_j))
     if residual > spec.spectrum_tol:
-        raise SpectrumUnreachableError(
+        raise InputError(
             f"eigenvalue residual {residual:.3e} exceeds tolerance {spec.spectrum_tol:.3e}"
         )
     m = gen.n_modes
@@ -200,7 +194,7 @@ def _build_mean_optimal(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...] 
     if spec.mode_vector is not None:
         vec = np.asarray(spec.mode_vector, dtype=complex)
         if vec.shape != (m,):
-            raise DimensionMismatchError("mode_vector must have length n_modes")
+            raise InputError("mode_vector must have length n_modes")
         vec = vec / np.linalg.norm(vec)
         v = _complete_unitary(vec)
     else:
@@ -227,11 +221,9 @@ def _build_derivative_displaced(spec: ProbeSpec, gen: Generator, modes: tuple[in
     scale = max(1.0, float(np.max(np.abs(g_mat))))
     off_support = [abs(g_mat[k, i]) for k in range(m) if k not in (i, j)]
     if off_support and max(off_support) > 1e-9 * scale:
-        raise ConditionViolatedError(
-            "base-mode derivative couples outside the chosen pair"
-        )
+        raise InputError("base-mode derivative couples outside the chosen pair")
     if abs(g_mat[i, i] - g_mat[j, j]) > 1e-9 * scale:
-        raise ConditionViolatedError("diagonal generator entries of the pair differ")
+        raise InputError("diagonal generator entries of the pair differ")
     half = 0.5 * spec.n_signal
     # relative squeezing angle chosen so the displacement-squeezing cross
     # term adds constructively (real coupling, real displacement)

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measurement, metrology, optimal
-from .errors import (
-    ConditionNotVerifiedWarning,
-    GaussmetError,
-    InputError,
-    RegularizationPoorError,
-    RegularizationWarning,
-)
+from .errors import ConditionNotVerifiedWarning, GaussmetError, InputError, RegularizationWarning
 from .gaussian import DisentangledForm
 from .generator import Generator, from_matrix
 from .metrology import ResourceTriple
@@ -36,6 +30,9 @@ _P_DOMAIN_KINDS = ("time_shift", "beam_displacement")
 
 _CLEAN_OVERLAP = 1e-6
 _WARN_OVERLAP = 1e-3
+
+# Gaussian-family levels kept per mode of the pair by build_regularized_probe
+_HG_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -108,15 +105,12 @@ def _ladder_coupling(level: int, sigma_z: float) -> complex:
     return -1j * np.sqrt((level + 1) / 2.0) / (np.sqrt(2.0) * sigma_z)
 
 
-def build_regularized_probe(
-    cfg: ScenarioConfig,
-    n_hg_levels: int = 2,
-) -> tuple[DisentangledForm, Generator, ResourceTriple]:
+def build_regularized_probe(cfg: ScenarioConfig) -> tuple[DisentangledForm, Generator, ResourceTriple]:
     """Assemble the regularized two-mode probe and its truncated generator.
 
-    Modes are ordered (Schmidt-0a, Schmidt-0b, plus-1, minus-1, plus-2,
-    minus-2, ...): the two populated Schmidt modes first, then the higher
-    Gaussian-family levels they couple to. The generator is the plain
+    Modes are ordered (Schmidt-0a, Schmidt-0b, plus-1, minus-1): the two
+    populated Schmidt modes first, then the first higher Gaussian-family
+    level of each, which they couple to. The generator is the plain
     two-family ladder g0 rotated by the Schmidt mixing angle chi on the
     populated pair: g = O g0 O^T, with O the rotation by chi on modes 0
     and 1 and the identity elsewhere. Estimating the dual-domain
@@ -124,8 +118,6 @@ def build_regularized_probe(
     position-separated pair) swaps the roles of the pair's z and p
     parameters.
     """
-    if n_hg_levels < 2:
-        raise InputError("need at least two Gaussian-family levels")
     pair = cfg.pair
     if cfg.kind not in _P_DOMAIN_KINDS:
         # dual-domain estimation: exchange center/width roles
@@ -139,9 +131,7 @@ def build_regularized_probe(
     overlap = mode_overlap(pair)
     s_mag = abs(overlap)
     if s_mag >= _WARN_OVERLAP:
-        raise RegularizationPoorError(
-            f"mode overlap {s_mag:.3e} too large for the regularized closed forms"
-        )
+        raise InputError(f"mode overlap {s_mag:.3e} too large for the regularized closed forms")
     if s_mag >= _CLEAN_OVERLAP:
         warnings.warn(
             f"mode overlap {s_mag:.3e} is not negligible; closed forms degrade",
@@ -160,8 +150,8 @@ def build_regularized_probe(
         chi = 0.0
         r_modes = (r_plus, r_minus)
 
-    m = 2 * n_hg_levels
-    g = np.diag(np.tile(np.asarray(pair.center_p, dtype=complex), n_hg_levels))
+    m = 2 * _HG_LEVELS
+    g = np.diag(np.tile(np.asarray(pair.center_p, dtype=complex), _HG_LEVELS))
     for k in range(m - 2):
         g[k + 2, k] = _ladder_coupling(k // 2, pair.sigma_z)
         g[k, k + 2] = np.conj(g[k + 2, k])
@@ -173,7 +163,7 @@ def build_regularized_probe(
         basis_label="schmidt",
         meta={"kind": cfg.kind, "overlap": overlap, "chi": chi},
     )
-    phases = np.tile(np.exp(-1j * np.asarray(pair.theta)), n_hg_levels)
+    phases = np.tile(np.exp(-1j * np.asarray(pair.theta)), _HG_LEVELS)
     r_vec = np.zeros(m)
     r_vec[0], r_vec[1] = r_modes
     state = DisentangledForm(V=np.diag(phases), alpha=np.zeros(m, dtype=complex), r=r_vec)

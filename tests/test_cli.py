@@ -158,6 +158,14 @@ def test_verify_rejects_trial_count_below_one(trials, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_verify_rejects_negative_seed(seed, capsys):
+    assert cli.run(["verify", "--suite", "bound", "--trials", "2", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: argument --seed")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command, extra, code",
     [
@@ -172,6 +180,9 @@ def test_verify_rejects_trial_count_below_one(trials, capsys):
         ("build-state", ["--kind", "mean-optimal", "--ns", "2", "--modes", "5"], 3),
         ("homodyne", ["--modes", "5"], 3),
         ("homodyne", ["--modes", "-1"], 3),
+        ("homodyne", ["--samples", "10", "--seed", "-1"], 2),
+        ("homodyne", ["--samples", "-1"], 2),
+        ("homodyne", ["--samples", "10", "--seed", "x"], 2),
     ],
 )
 def test_bad_input_exit_code_without_traceback(fixture_paths, capsys, command, extra, code):
@@ -449,6 +460,16 @@ _BAD_INPUT_FILES = {
     "infinite-n-modes": ('{"n_modes": 1e400, "beta": [[0, 0]], "f": [[[0, 0]]]}', None),
     "over-digit-limit": ('{"n_modes": 1, "beta": [[%s]], "f": [[[0, 0]]]}' % ("1" * 5000), None),
     "too-deep": ('{"n_modes": 1, "beta": ' + "[" * 100000, None),
+    # two-mode files that match the fixture generator, so only the entries are wrong
+    "string-and-boolean-pair": (
+        '{"n_modes": 2, "beta": [["1.5", true], [0, 0]], "f": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}', None
+    ),
+    "numeric-string-G": (None, '{"G": [[["1", 0], [0, 0]], [[0, 0], [3, 0]]]}'),
+    "all-boolean-f": (
+        '{"n_modes": 2, "beta": [[0, 0], [0, 0]], "f": [[[true, false], [false, false]], '
+        '[[false, false], [true, false]]]}',
+        None,
+    ),
 }
 
 

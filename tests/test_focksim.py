@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from gaussmet import focksim, generator, metrology
-from gaussmet.errors import TailTooLargeError, TooManyModesError
+from gaussmet.errors import InputError, TailTooLargeError
 from gaussmet.focksim import FockStateVector, OracleConfig
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.verify import random_hermitian, random_small_state, random_unitary
@@ -84,7 +84,7 @@ def test_fock_build_rejects_many_modes():
     d = DisentangledForm(
         V=np.eye(4, dtype=complex), alpha=np.zeros(4, complex), r=np.zeros(4)
     )
-    with pytest.raises(TooManyModesError):
+    with pytest.raises(InputError, match="oracle supports up to"):
         focksim.fock_build(d, OracleConfig(cutoff=3))
 
 

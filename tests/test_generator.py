@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaussmet import generator
-from gaussmet.errors import ModesNotOrthonormalError, NotHermitianError
+from gaussmet.errors import InputError
 from gaussmet.generator import DiscretizationGrid, HGParams
 from gaussmet.matkernel import max_norm
 from gaussmet.verify import random_hermitian
@@ -26,7 +26,7 @@ def test_from_matrix_2x2_analytic():
 
 
 def test_from_matrix_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(InputError, match="deviates from Hermitian"):
         generator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
@@ -152,7 +152,7 @@ def test_generator_from_modes_rejects_non_orthonormal():
         return np.exp(-((z - 0.1 * n) ** 2))  # unnormalized, overlapping
 
     grid = DiscretizationGrid(-8.0, 8.0, 400)
-    with pytest.raises(ModesNotOrthonormalError):
+    with pytest.raises(InputError, match="Gram matrix deviates"):
         generator.generator_from_modes(family, 2, 0.0, 1e-5, grid)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaussmet import matkernel
-from gaussmet.errors import NonFiniteError, NotHermitianError, NotSymmetricError
+from gaussmet.errors import InputError
 from gaussmet.verify import random_hermitian
 
 
@@ -56,9 +56,9 @@ def test_hermitian_eig_degenerate_deterministic():
 
 
 def test_hermitian_eig_rejects_bad_input():
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(InputError, match="deviates from Hermitian"):
         matkernel.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(InputError, match="NaN or infinite"):
         matkernel.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
 
 
@@ -104,7 +104,7 @@ def test_takagi_property_random_symmetric():
 
 
 def test_takagi_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(InputError, match="deviates from symmetric"):
         matkernel.takagi(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaussmet import generator, measurement, metrology, optimal
-from gaussmet.errors import ConditionNotVerifiedWarning, StateNotEigenbasisDiagonalError
+from gaussmet.errors import ConditionNotVerifiedWarning, InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import DiscretizationGrid
 from gaussmet.measurement import HomodyneSetup
@@ -47,7 +47,7 @@ def test_variance_loss_on_vacuum():
 def test_homodyne_requires_eigenbasis():
     v = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     d = DisentangledForm(V=v, alpha=np.zeros(2, complex), r=np.array([0.5, 0.0]))
-    with pytest.raises(StateNotEigenbasisDiagonalError):
+    with pytest.raises(InputError, match="not a generator eigenmode"):
         _variance(d, 0.0, 0.0)
 
 

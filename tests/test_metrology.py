@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussmet import generator, metrology, scenarios
-from gaussmet.errors import DimensionMismatchError, FitIllConditionedError, NotPSDError
+from gaussmet.errors import InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.metrology import ResourceTriple
 from gaussmet.verify import random_hermitian, random_state, random_unitary
@@ -39,9 +39,22 @@ def test_resources_defined_at_tiny_photon_number():
     report = metrology.qfi(d, generator.from_matrix(np.array([[2.0 + 0j]])))
     assert report.resources.well_defined
     assert report.resources.n_signal == pytest.approx(1e-20, rel=1e-12)
+    assert report.resources.g_mean == pytest.approx(2.0, rel=1e-12)
     assert report.qfi == pytest.approx(1.6e-19, rel=1e-12)
     assert report.bound == pytest.approx(3.2e-19, rel=1e-12)
     assert 0.0 < report.qfi <= report.bound
+
+
+def test_resources_undefined_for_round_off_signal_photons():
+    # squeezing only the idler eigenmode of a dense generator leaves N_S at
+    # eigenvector round-off (~1e-32); its mean and spread would be noise
+    u = random_unitary(np.random.default_rng(3), 3)
+    gen = generator.from_matrix(u @ np.diag([0.0, 1.0, 2.0]) @ u.conj().T)
+    d = DisentangledForm(V=gen.eig.U, alpha=np.zeros(3, complex), r=np.array([1.0, 0.0, 0.0]))
+    report = metrology.qfi(d, gen)
+    assert report.resources == ResourceTriple(0.0, 0.0, 0.0, well_defined=False)
+    assert report.bound == 0.0
+    assert report.qfi < 1e-28 and report.bound_satisfied
 
 
 def test_resources_squeezed_eigenbasis():
@@ -216,7 +229,7 @@ def test_resources_variance_nonnegative_for_uniform_generator():
 
 def test_qfi_dimension_mismatch():
     d = _eigenbasis_state([1.0], [1.0])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError, match="modes but generator has"):
         metrology.qfi(d, GEN13)
 
 
@@ -317,7 +330,7 @@ def test_lemma2_identity_h():
 
 
 def test_lemma2_rejects_indefinite_q():
-    with pytest.raises(NotPSDError):
+    with pytest.raises(InputError, match="below PSD tolerance"):
         metrology.lemma2_gap(np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex))
 
 
@@ -365,7 +378,7 @@ def test_optimality_coefficients_families():
 
 def test_optimality_coefficients_requires_usable_targets():
     targets = ResourceTriple(n_signal=10.0, g_mean=0.0, g_var=1.0)
-    with pytest.raises(FitIllConditionedError):
+    with pytest.raises(InputError, match="nonzero mean and variance"):
         metrology.optimality_coefficients(_builder("optimal"), targets)
 
 

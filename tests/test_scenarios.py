@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaussmet import measurement, metrology, scenarios
-from gaussmet.errors import InputError, RegularizationPoorError, RegularizationWarning
+from gaussmet.errors import InputError, RegularizationWarning
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import HGParams, hg_generator
 from gaussmet.regmodes import RegularizedModePair, reg_mode_function
@@ -175,7 +175,7 @@ def test_regularization_poor_raises_and_warns():
     close = RegularizedModePair(
         center_z=(0.0, 0.0), center_p=(0.4, -0.4), sigma_z=1.0, r=(r, r)
     )
-    with pytest.raises(RegularizationPoorError):
+    with pytest.raises(InputError, match="too large for the regularized closed forms"):
         scenarios.build_regularized_probe(
             ScenarioConfig(kind="time_shift", pair=close, n_signal=2.0)
         )
