@@ -1,21 +1,26 @@
 """Truncated Fock-space oracle for small Gaussian probes.
 
-Builds exact state vectors of up to three modes, truncated by total photon
+Builds exact state vectors of up to four modes, truncated by total photon
 number N <= cutoff, and evaluates the QFI as four times the generator
 variance plus the Fisher information of photon counting in an arbitrary
 mode basis. Each single-mode column <n|D(alpha) S(r)|0> follows from a
-three-term recurrence in n. A passive mode mixer conserves N, so its lift
-is block-diagonal in N; each block follows exactly from the block for
-N - 1 by the one-photon recurrence of Miatto & Quesada, Quantum 4, 366
-(2020). The generator sum_ij G_ij a_i^dag a_j also conserves N and acts on
-the lattice directly. No exponential or eigendecomposition is formed: this
-module is the independent check for every closed form in the package and
-shares no algebra with the Gaussian engine.
+three-term recurrence in n. A passive mode mixer must be unitary; it
+factors into phases and two-mode rotations on adjacent modes (Givens
+nulling, as in Reck et al., PRL 73, 58 (1994)), and each factor conserves
+the photon number of its pair. The lift of a two-mode rotation is
+block-diagonal in that number K; each block follows exactly from the block
+for K - 1 by the one-photon recurrence of Miatto & Quesada, Quantum 4, 366
+(2020), and acts on every occupation of the other modes at once. The
+generator sum_ij G_ij a_i^dag a_j also conserves N and acts on the lattice
+directly. No exponential or eigendecomposition is formed: this module is
+the independent check for every closed form in the package and shares no
+algebra with the Gaussian engine.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +31,7 @@ from .errors import InputError, TailTooLargeError
 from .gaussian import DisentangledForm
 from .generator import Generator
 
-MAX_MODES = 3
+MAX_MODES = 4
 # probability at N > cutoff that apply_mode_transform may drop
 _LIFT_TAIL_TOL = 1e-12
 
@@ -71,96 +76,151 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=32)
-def _occupations(cutoff: int, n_modes: int) -> np.ndarray:
-    """Photon counts per mode for every lattice point, shape (M, dim)."""
-    return _readonly(np.indices((cutoff + 1,) * n_modes).reshape(n_modes, -1))
-
-
 @dataclass(frozen=True)
-class _Sector:
-    """Index tables of one photon-number sector N >= 1 of the lattice.
+class _Lattice:
+    """Index tables of the lattice (cutoff+1,) * M, split at N = cutoff.
 
-    ``flat`` holds the lattice indices of the states with N photons. Row m
-    of the lift recurs on m - e_i, i the first occupied mode of m: it sits
-    at ``row_prev`` in sector N - 1 and ``inv_sqrt_occ`` is m_i^(-1/2).
-    Column n recurs on every n - e_j: at ``col_prev[j]`` with weight
-    ``sqrt_occ[j]`` = sqrt(n_j), which is 0 where n_j = 0.
+    ``inside`` holds the lattice indices with N <= cutoff in lattice order,
+    ``occ`` their photon counts per mode, shape (M, len(inside)), and
+    ``outside`` is the lattice mask of N > cutoff. The positions below index
+    ``inside``: ``pairs[p][K - 1]`` holds the positions of the states with
+    n_p + n_{p+1} = K, K >= 1: row a has n_p = a, and each column is one
+    occupation of the other modes. ``hops`` has one entry per mode pair
+    i < j, in ``itertools.combinations`` order: the positions of every
+    state m with m_i >= 1, of m - e_i + e_j, and sqrt(m_i (m_j + 1)).
     """
 
-    flat: np.ndarray
-    first: np.ndarray
-    row_prev: np.ndarray
-    inv_sqrt_occ: np.ndarray
-    col_prev: np.ndarray
-    sqrt_occ: np.ndarray
+    inside: np.ndarray
+    occ: np.ndarray
+    outside: np.ndarray
+    pairs: tuple[tuple[np.ndarray, ...], ...]
+    hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=32)
-def _sectors(cutoff: int, n_modes: int) -> tuple[tuple[_Sector, ...], np.ndarray]:
-    """Tables for the sectors N = 1..cutoff and the lattice indices at N > cutoff."""
-    counts = _occupations(cutoff, n_modes)
+def _lattice(cutoff: int, n_modes: int) -> _Lattice:
+    counts = np.indices((cutoff + 1,) * n_modes).reshape(n_modes, -1)
     total = counts.sum(axis=0)
+    inside = np.flatnonzero(total <= cutoff)
+    occ = counts[:, inside]
+    position = np.zeros(total.size, dtype=np.intp)
+    position[inside] = np.arange(inside.size)
     strides = (cutoff + 1) ** np.arange(n_modes - 1, -1, -1)
-    position = np.zeros(total.size, dtype=np.intp)  # the vacuum sits at 0 of sector 0
-    sectors = []
-    for n in range(1, cutoff + 1):
-        flat = np.flatnonzero(total == n)
-        position[flat] = np.arange(flat.size)
-        occ = counts[:, flat]
-        first = np.argmax(occ > 0, axis=0)
-        states = np.arange(flat.size)
-        col_prev = np.zeros(occ.shape, dtype=np.intp)
-        for j in range(n_modes):
-            occupied = occ[j] > 0
-            col_prev[j, occupied] = position[flat[occupied] - strides[j]]
-        sectors.append(
-            _Sector(
-                flat=_readonly(flat),
-                first=_readonly(first),
-                row_prev=_readonly(position[flat - strides[first]]),
-                inv_sqrt_occ=_readonly(1.0 / np.sqrt(occ[first, states])),
-                col_prev=_readonly(col_prev),
-                sqrt_occ=_readonly(np.sqrt(occ)),
-            )
-        )
-    return tuple(sectors), _readonly(np.flatnonzero(total > cutoff))
+    pairs = []
+    for p in range(n_modes - 1):
+        pair_total = occ[p] + occ[p + 1]
+        step = strides[p] - strides[p + 1]  # one photon moved from mode p+1 to mode p
+        tables = []
+        for k in range(1, cutoff + 1):
+            start = inside[(occ[p] == 0) & (pair_total == k)]
+            tables.append(_readonly(position[start + step * np.arange(k + 1)[:, None]]))
+        pairs.append(tuple(tables))
+    hops = []
+    for i, j in itertools.combinations(range(n_modes), 2):
+        target = np.flatnonzero(occ[i] > 0)
+        source = position[inside[target] - strides[i] + strides[j]]
+        weight = np.sqrt(occ[i, target] * (occ[j, target] + 1.0))
+        hops.append((_readonly(target), _readonly(source), _readonly(weight)))
+    return _Lattice(
+        inside=_readonly(inside),
+        occ=_readonly(occ),
+        outside=_readonly(total > cutoff),
+        pairs=tuple(pairs),
+        hops=tuple(hops),
+    )
+
+
+def _two_mode_blocks(w: np.ndarray, cutoff: int) -> list[np.ndarray]:
+    """Blocks K = 1..cutoff of the Fock-space lifts U of 2x2 unitaries w[f].
+
+    Entry K - 1 has shape (F, K + 1, K + 1); its rows and columns are the
+    states (a, K - a), a = 0..K. Block K follows from block K - 1 by
+    <m|U|n> = m_i^(-1/2) sum_j w_ij sqrt(n_j) <m-e_i|U|n-e_j>, i the first
+    occupied mode of m, which holds because U^dag a_i U = sum_j w_ij a_j;
+    the K = 1 block is w itself.
+    """
+    root = np.sqrt(np.arange(cutoff + 1, dtype=float))
+    w = w[:, :, :, None, None]
+    blocks = []
+    block = np.ones((len(w), 1, 1), dtype=complex)
+    for k in range(1, cutoff + 1):
+        # column n = (b, k - b): n - e_0 sits at column b - 1 of block k - 1, n - e_1 at column b
+        via_0 = np.zeros((len(w), k, k + 1), dtype=complex)
+        via_0[:, :, 1:] = block * root[1 : k + 1]
+        via_1 = np.zeros_like(via_0)
+        via_1[:, :, :-1] = block * root[k:0:-1]
+        # row m = (a, k - a): m - e_0 sits at row a - 1 for a >= 1, m - e_1 at row 0 for a = 0
+        block = np.empty((len(w), k + 1, k + 1), dtype=complex)
+        block[:, 1:] = (w[:, 0, 0] * via_0 + w[:, 0, 1] * via_1) / root[1 : k + 1, None]
+        block[:, 0] = (w[:, 1, 0] * via_0[:, :1] + w[:, 1, 1] * via_1[:, :1])[:, 0] / root[k]
+        blocks.append(block)
+    return blocks
+
+
+def _givens_factors(v: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Split a unitary v, M >= 2, into phases on modes 0..M-3 and two-mode factors.
+
+    Rotations G on adjacent rows null the columns 0..M-3 of v below the
+    diagonal, which leaves T = G_k ... G_1 v = diag(phases) plus a 2x2
+    unitary block on modes (M-2, M-1). Since v = G_1^dag ... G_k^dag T, the
+    factors w[f], each acting on modes (p[f], p[f] + 1), come in the order
+    their lifts apply to a state: T's block first, then G_k^dag, ...,
+    G_1^dag. At M = 2 the only factor is v itself.
+    """
+    m = v.shape[0]
+    t = np.array(v, dtype=complex)
+    rotations = []
+    for col in range(m - 2):
+        for row in range(m - 1, col, -1):
+            x, y = t[row - 1, col], t[row, col]
+            if y == 0:
+                continue
+            g = np.array([[np.conj(x), np.conj(y)], [-y, x]]) / np.hypot(abs(x), abs(y))
+            t[row - 1 : row + 1] = g @ t[row - 1 : row + 1]
+            rotations.append((row - 1, g.conj().T))
+    factors = [(m - 2, t[m - 2 :, m - 2 :])] + rotations[::-1]
+    return np.diagonal(t)[: m - 2], [p for p, _ in factors], np.array([w for _, w in factors])
 
 
 def apply_mode_transform(psi: np.ndarray, v: np.ndarray, cutoff: int) -> np.ndarray:
-    """Apply the Fock-space lift of a passive mode transform matrix v.
+    """Apply the Fock-space lift of a passive mode transform: a unitary v.
 
-    The lift acts exactly on every sector N <= cutoff: the block of sector
-    N follows from that of N - 1 by
-    <m|U|n> = m_i^(-1/2) sum_j v_ij sqrt(n_j) <m-e_i|U|n-e_j>, i the first
-    occupied mode of m, which holds because U^dag a_i U = sum_j v_ij a_j;
-    the N = 1 block is v itself. Raises TailTooLargeError if psi has more
-    than 1e-12 probability at N > cutoff, which the truncated lift cannot
-    carry.
+    The lift acts exactly on every sector N <= cutoff and leaves zeros at
+    N > cutoff; its one-photon block is v itself. v is factored into phases
+    d_k, lifted as d_k ** n_k, and two-mode rotations (``_givens_factors``).
+    Each rotation's blocks come from the two-mode recurrence of
+    ``_two_mode_blocks`` and act on all occupations of the other modes as
+    one matrix product per photon number of the pair. Raises InputError if
+    v deviates from unitary by more than matkernel.DEFAULT_TOL, and
+    TailTooLargeError if psi has more than 1e-12 probability at
+    N > cutoff, which the truncated lift cannot carry.
     """
     n_modes = int(v.shape[0])
+    deviation = matkernel.max_norm(v.conj().T @ v - np.eye(n_modes))
+    if deviation > matkernel.DEFAULT_TOL:
+        raise InputError(f"mode transform deviates from unitary by {deviation:.3e}")
+    lattice = _lattice(cutoff, n_modes)
     flat_in = psi.reshape(-1)
-    sectors, outside = _sectors(cutoff, n_modes)
-    tail = float(np.sum(np.abs(flat_in[outside]) ** 2))
+    tail = float(np.sum(np.abs(flat_in[lattice.outside]) ** 2))
     if tail > _LIFT_TAIL_TOL:
         raise TailTooLargeError(
             f"state has probability {tail:.3e} above {cutoff} photons; the lift keeps N <= cutoff only"
         )
     if matkernel.max_norm(v - np.eye(n_modes)) < 1e-14:
         return psi
-    flat_out = np.zeros_like(flat_in, dtype=complex)
-    flat_out[0] = flat_in[0]
-    block = np.ones((1, 1), dtype=complex)
-    for sector in sectors:
-        rows = block[sector.row_prev]
-        weights = v[sector.first] * sector.inv_sqrt_occ[:, None]
-        block = np.zeros((sector.flat.size, sector.flat.size), dtype=complex)
-        for j in range(n_modes):
-            term = np.take(rows, sector.col_prev[j], axis=1)
-            term *= sector.sqrt_occ[j]
-            term *= weights[:, j, None]
-            block += term
-        flat_out[sector.flat] = block @ flat_in[sector.flat]
+    if n_modes == 1:
+        return psi * v[0, 0] ** np.arange(cutoff + 1)
+    x = flat_in[lattice.inside].astype(complex, copy=False)
+    phases, pairs, w = _givens_factors(v)
+    if phases.size:
+        powers = phases[:, None] ** np.arange(cutoff + 1)
+        x *= np.prod(np.take_along_axis(powers, lattice.occ[: phases.size], axis=1), axis=0)
+    blocks = _two_mode_blocks(w, cutoff)
+    for f, p in enumerate(pairs):
+        for rows, block in zip(lattice.pairs[p], blocks):
+            x[rows] = block[f] @ x[rows]
+    flat_out = np.zeros(flat_in.shape, dtype=complex)
+    flat_out[lattice.inside] = x
     return flat_out.reshape(psi.shape)
 
 
@@ -198,7 +258,7 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
     psi = np.ones(1, dtype=complex)
     for n in range(m):
         psi = np.multiply.outer(psi, _displaced_squeezed_column(d.alpha[n], d.r[n], c)).reshape(-1)
-    psi[_sectors(c, m)[1]] = 0.0
+    psi[_lattice(c, m).outside] = 0.0
     norm_sq = float(np.sum(np.abs(psi) ** 2))
     deficit = max(0.0, 1.0 - norm_sq)
     if deficit > cfg.tail_tol:
@@ -213,23 +273,22 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
 def _generator_moments(amplitudes: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """<G> = Re<psi|G psi> and <G^2> = ||G psi||^2 for G = sum_ij g_ij a_i^dag a_j.
 
-    G acts on the lattice by shifted slices: (a_i^dag a_j psi)[m] =
+    G acts on the lattice states with N <= cutoff: (a_i^dag a_j psi)[m] =
     sqrt(m_i) sqrt(m_j + 1) psi[m - e_i + e_j] for i != j, and the diagonal
     terms multiply psi[m] by sum_i g_ii m_i. Every term conserves N, so this
     is exact on a state supported on N <= cutoff.
     """
     n_modes = g.shape[0]
-    occ = _occupations(amplitudes.shape[0] - 1, n_modes).reshape((n_modes,) + amplitudes.shape)
-    g_psi = np.tensordot(np.diag(g).real, occ, axes=1) * amplitudes
-    for (i, j), g_ij in np.ndenumerate(g):
-        if i == j or g_ij == 0:
-            continue
-        dst, src = [slice(None)] * n_modes, [slice(None)] * n_modes
-        dst[i], src[i] = slice(1, None), slice(None, -1)
-        dst[j], src[j] = slice(None, -1), slice(1, None)
-        dst = tuple(dst)
-        g_psi[dst] += g_ij * np.sqrt(occ[i][dst] * (occ[j][dst] + 1.0)) * amplitudes[tuple(src)]
-    mean = float(np.vdot(amplitudes, g_psi).real)
+    lattice = _lattice(amplitudes.shape[0] - 1, n_modes)
+    psi = amplitudes.reshape(-1)[lattice.inside]
+    g_psi = (np.diag(g).real @ lattice.occ) * psi
+    for (i, j), (target, source, weight) in zip(itertools.combinations(range(n_modes), 2), lattice.hops):
+        # a_i^dag a_j moves a photon from mode j to mode i, and a_j^dag a_i moves it back
+        if g[i, j] != 0:
+            g_psi[target] += g[i, j] * weight * psi[source]
+        if g[j, i] != 0:
+            g_psi[source] += g[j, i] * weight * psi[target]
+    mean = float(np.vdot(psi, g_psi).real)
     second = float(np.vdot(g_psi, g_psi).real)
     return mean, second
 
@@ -273,9 +332,9 @@ def fock_counting_fi(
 
     ``psi_builder(lam)`` must return the parameter-imprinted
     FockStateVector; probabilities are |amplitudes|^2 after rotating into
-    the counting basis (rows of ``basis_rotation`` define the counted
-    modes), and the lambda derivative is a central difference with step
-    ``cfg.fd_step``. Outcomes with probability below 1e-14 are dropped.
+    the counting basis (rows of the unitary ``basis_rotation`` define the
+    counted modes), and the lambda derivative is a central difference with
+    step ``cfg.fd_step``. Outcomes with probability below 1e-14 are dropped.
 
     With ``richardson`` the value is recomputed at half the step and a
     relative change above 1e-4 triggers a step-size warning.

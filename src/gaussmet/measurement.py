@@ -159,8 +159,10 @@ def sample_homodyne(
     """Draw homodyne outcomes, one row of n_samples per measured mode.
 
     Outcomes are independent zero-mean Gaussians at the per-mode variance
-    of the setup; fixed seeds reproduce identical streams.
+    of the setup; fixed non-negative seeds reproduce identical streams.
     """
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     result = homodyne_fi(d, gen, setup)
     rng = np.random.default_rng(seed)
     out = np.empty((len(setup.mode_indices), n_samples))

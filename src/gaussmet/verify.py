@@ -33,9 +33,11 @@ def _at(k: int, seed: int) -> str:
     return f" at trial {k} (seed {seed + k})"
 
 
-def _require_trials(trials: int) -> None:
+def _require_run(trials: int, seed: int) -> None:
     if trials < 1:
         raise InputError(f"trial count must be at least 1, got {trials}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -58,7 +60,7 @@ def random_state(rng: np.random.Generator, m: int, r_max: float = 2.0,
 
 def suite_bound(trials: int, seed: int) -> SuiteReport:
     """QFI never exceeds the resource bound on random states/generators."""
-    _require_trials(trials)
+    _require_run(trials, seed)
     margins = []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
@@ -79,7 +81,7 @@ def suite_bound(trials: int, seed: int) -> SuiteReport:
 
 def _oracle_cutoff(m: int) -> int:
     # total-photon cutoffs that keep the suite's draws under tail_tol=1e-12
-    return {1: 30, 2: 24, 3: 22}[m]
+    return {1: 30, 2: 24, 3: 24, 4: 24}[m]
 
 
 def random_small_state(rng: np.random.Generator, m: int) -> DisentangledForm:
@@ -95,11 +97,11 @@ def random_small_state(rng: np.random.Generator, m: int) -> DisentangledForm:
 
 def suite_oracle(trials: int, seed: int) -> SuiteReport:
     """Gaussian engine agrees with the truncated Fock oracle."""
-    _require_trials(trials)
+    _require_run(trials, seed)
     devs, deficits, over_tail = {}, {}, []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
-        m = int(rng.integers(1, 4))
+        m = int(rng.integers(1, focksim.MAX_MODES + 1))
         gen = from_matrix(random_hermitian(rng, m))
         d = random_small_state(rng, m)
         cfg = focksim.OracleConfig(cutoff=_oracle_cutoff(m), tail_tol=1e-12)
@@ -133,7 +135,7 @@ def suite_oracle(trials: int, seed: int) -> SuiteReport:
 
 def suite_lemma2(trials: int, seed: int) -> SuiteReport:
     """The trace inequality holds on random Hermitian/PSD pairs."""
-    _require_trials(trials)
+    _require_run(trials, seed)
     gaps = []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)

@@ -442,39 +442,50 @@ def test_homodyne_samples_csv_failure_keeps_old_file(fixture_paths, monkeypatch,
     _assert_untouched(tmp_path, ["state.json", "gen.json", *old], old)
 
 
+# Two-mode files that match the fixture, so that only the entries are wrong:
+# a file with another mode count would exit 3 on the mismatch alone.
+_ZERO_F = "[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]"
+_ZERO_BETA = "[[0, 0], [0, 0]]"
 
+
+def _state(beta=_ZERO_BETA, f=_ZERO_F, n_modes="2"):
+    return '{"n_modes": %s, "beta": %s, "f": %s}' % (n_modes, beta, f)
+
+
+def _gen(g00="1", tail=""):
+    return '{"G": [[[%s, 0], [0, 0]], [[0, 0], [3, 0]]]%s}' % (g00, tail)
+
+
+# (state file, generator file, a fragment of the message that names the defect)
 _BAD_INPUT_FILES = {
-    "huge-int-beta": ('{"n_modes": 1, "beta": [[%s, 0]], "f": [[[0, 0]]]}' % _HUGE, None),
-    "huge-int-signal-tol": (None, '{"G": [[[1, 0]]], "signal_tol": %s}' % _HUGE),
-    "huge-int-G": (None, '{"G": [[[%s, 0]]]}' % _HUGE),
-    "null-entry": ('{"n_modes": 1, "beta": [[null, 0]], "f": [[[0, 0]]]}', None),
-    "nan-literal": ('{"n_modes": 1, "beta": [[0, 0]], "f": [[[NaN, 0]]]}', None),
-    "infinity-literal": (None, '{"G": [[[Infinity, 0]]]}'),
-    "three-element-pair": ('{"n_modes": 1, "beta": [[0, 0, 0]], "f": [[[0, 0]]]}', None),
-    "scalar-matrix-entry": ('{"n_modes": 1, "beta": [[0, 0]], "f": [[0]]}', None),
-    "pair-matrix-entries": ('{"n_modes": 2, "beta": [[0, 0], [0, 0]], "f": [[0, 0], [0, 0]]}', None),
-    "empty-f": ('{"n_modes": 1, "beta": [[0, 0]], "f": []}', None),
-    "empty-rows": ('{"n_modes": 0, "beta": [], "f": [[]]}', None),
-    "ragged-f": ('{"n_modes": 2, "beta": [[0, 0], [0, 0]], "f": [[[0, 0]], [[0, 0], [0, 0]]]}', None),
-    "ragged-G": (None, '{"G": [[[1, 0], [0, 0]], [[0, 0]]]}'),
-    "infinite-n-modes": ('{"n_modes": 1e400, "beta": [[0, 0]], "f": [[[0, 0]]]}', None),
-    "over-digit-limit": ('{"n_modes": 1, "beta": [[%s]], "f": [[[0, 0]]]}' % ("1" * 5000), None),
-    "too-deep": ('{"n_modes": 1, "beta": ' + "[" * 100000, None),
-    # two-mode files that match the fixture generator, so only the entries are wrong
-    "string-and-boolean-pair": (
-        '{"n_modes": 2, "beta": [["1.5", true], [0, 0]], "f": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}', None
-    ),
-    "numeric-string-G": (None, '{"G": [[["1", 0], [0, 0]], [[0, 0], [3, 0]]]}'),
+    "huge-int-beta": (_state(beta="[[%s, 0], [0, 0]]" % _HUGE), None, "beta: expected nested lists"),
+    "huge-int-signal-tol": (None, _gen(tail=', "signal_tol": %s' % _HUGE), "int too large"),
+    "huge-int-G": (None, _gen(g00=_HUGE), "G: expected nested lists"),
+    "null-entry": (_state(beta="[[null, 0], [0, 0]]"), None, "beta: entries must be finite"),
+    "nan-literal": (_state(f="[[[NaN, 0], [0, 0]], [[0, 0], [0, 0]]]"), None, "f: entries must be finite"),
+    "infinity-literal": (None, _gen(g00="Infinity"), "G: entries must be finite"),
+    "three-element-pair": (_state(beta="[[0, 0, 0], [0, 0, 0]]"), None, "beta: expected a non-empty array"),
+    "scalar-matrix-entry": (_state(f="[[0, [0, 0]], [[0, 0], [0, 0]]]"), None, "f: expected nested lists"),
+    "pair-matrix-entries": (_state(f="[[0, 0], [0, 0]]"), None, "f: expected a non-empty array"),
+    "empty-f": (_state(f="[]"), None, "f: expected a non-empty array"),
+    "empty-rows": (_state(f="[[], []]"), None, "f: expected a non-empty array"),
+    "ragged-f": (_state(f="[[[0, 0]], [[0, 0], [0, 0]]]"), None, "f: expected nested lists"),
+    "ragged-G": (None, '{"G": [[[1, 0], [0, 0]], [[0, 0]]]}', "G: expected nested lists"),
+    "infinite-n-modes": (_state(n_modes="1e400"), None, "invalid state field"),
+    "over-digit-limit": (_state(beta="[[%s, 0], [0, 0]]" % ("1" * 5000)), None, "malformed JSON"),
+    "too-deep": ('{"n_modes": 2, "beta": %s, "f": ' % _ZERO_BETA + "[" * 100000, None, "malformed JSON"),
+    "string-and-boolean-pair": (_state(beta='[["1.5", true], [0, 0]]'), None, "beta: entries must be numbers"),
+    "numeric-string-G": (None, _gen(g00='"1"'), "G: entries must be numbers"),
     "all-boolean-f": (
-        '{"n_modes": 2, "beta": [[0, 0], [0, 0]], "f": [[[true, false], [false, false]], '
-        '[[false, false], [true, false]]]}',
+        _state(f="[[[true, false], [false, false]], [[false, false], [true, false]]]"),
         None,
+        "f: entries must be numbers",
     ),
 }
 
 
-@pytest.mark.parametrize("state_text, gen_text", list(_BAD_INPUT_FILES.values()), ids=list(_BAD_INPUT_FILES))
-def test_bad_array_in_input_file_exit_3(fixture_paths, capsys, state_text, gen_text):
+@pytest.mark.parametrize("state_text, gen_text, defect", list(_BAD_INPUT_FILES.values()), ids=list(_BAD_INPUT_FILES))
+def test_bad_array_in_input_file_exit_3(fixture_paths, capsys, state_text, gen_text, defect):
     state_path, gen_path, _ = fixture_paths
     for path, text in ((state_path, state_text), (gen_path, gen_text)):
         if text is not None:
@@ -483,6 +494,7 @@ def test_bad_array_in_input_file_exit_3(fixture_paths, capsys, state_text, gen_t
     assert cli.run(["qfi", "--state", state_path, "--generator", gen_path]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert defect in captured.err
     assert captured.out == ""
 
 

@@ -204,6 +204,12 @@ def test_verify_suites_reject_trial_count_below_one(suite):
         suite(0, 1)
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_suites_reject_negative_seed(suite):
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        verify.run_suites([suite], 2, -5)
+
+
 def test_verify_oracle_counts_over_tail_trial_as_failed(monkeypatch):
     # cutoff 1 leaves more than tail_tol outside N <= cutoff for every draw
     monkeypatch.setattr(verify, "_oracle_cutoff", lambda m: 1)

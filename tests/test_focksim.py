@@ -1,4 +1,7 @@
+import ast
+import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -82,7 +85,7 @@ def test_fock_build_rejects_large_tail():
 
 def test_fock_build_rejects_many_modes():
     d = DisentangledForm(
-        V=np.eye(4, dtype=complex), alpha=np.zeros(4, complex), r=np.zeros(4)
+        V=np.eye(5, dtype=complex), alpha=np.zeros(5, complex), r=np.zeros(5)
     )
     with pytest.raises(InputError, match="oracle supports up to"):
         focksim.fock_build(d, OracleConfig(cutoff=3))
@@ -147,9 +150,9 @@ def test_fock_qfi_closed_forms_through_off_diagonal_generator():
 
 def test_oracle_equivalence_random_probes():
     rng = np.random.default_rng(414)
-    cutoffs = {1: 30, 2: 24, 3: 20}
+    cutoffs = {1: 30, 2: 24, 3: 20, 4: 24}
     for _ in range(25):
-        m = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 5))
         gen = generator.from_matrix(random_hermitian(rng, m))
         d = random_small_state(rng, m)
         psi = focksim.fock_build(d, OracleConfig(cutoff=cutoffs[m], tail_tol=1e-12))
@@ -275,13 +278,14 @@ def test_counting_never_exceeds_qfi():
 def test_mode_transform_preserves_norm_and_rotates():
     rng = np.random.default_rng(8)
     cfg = OracleConfig(cutoff=20, tail_tol=1e-10)
-    d = random_small_state(rng, 2)
-    psi = focksim.fock_build(d, cfg)
-    w = random_unitary(rng, 2)
-    rotated = focksim.apply_mode_transform(psi.amplitudes, w, cfg.cutoff)
-    assert np.sum(np.abs(rotated) ** 2) == pytest.approx(1.0, abs=1e-12)
-    back = focksim.apply_mode_transform(rotated, w.conj().T, cfg.cutoff)
-    assert np.max(np.abs(back - psi.amplitudes)) < 1e-10
+    for m in (2, 3, 4):
+        d = random_small_state(rng, m)
+        psi = focksim.fock_build(d, cfg)
+        w = random_unitary(rng, m)
+        rotated = focksim.apply_mode_transform(psi.amplitudes, w, cfg.cutoff)
+        assert np.sum(np.abs(rotated) ** 2) == pytest.approx(1.0, abs=1e-12)
+        back = focksim.apply_mode_transform(rotated, w.conj().T, cfg.cutoff)
+        assert np.max(np.abs(back - psi.amplitudes)) < 1e-10
 
 
 def _single_photon(n_modes, cutoff, mode):
@@ -316,7 +320,7 @@ def _coherent_product(alphas, cutoff):
 
 def test_lift_one_photon_block_is_v():
     rng = np.random.default_rng(31)
-    for m in (2, 3):
+    for m in (2, 3, 4):
         v = random_unitary(rng, m)
         cutoff = 4
         for j in range(m):
@@ -328,7 +332,7 @@ def test_lift_one_photon_block_is_v():
 
 def test_lift_is_a_representation():
     rng = np.random.default_rng(32)
-    for m, cutoff in ((2, 12), (3, 10)):
+    for m, cutoff in ((2, 12), (3, 10), (4, 6)):
         v1, v2 = random_unitary(rng, m), random_unitary(rng, m)
         psi = _random_sector_state(rng, m, cutoff)
         two_steps = focksim.apply_mode_transform(
@@ -395,3 +399,56 @@ def test_norm_deficit_is_poisson_tail_of_total_photon_number():
         total = np.indices(psi.amplitudes.shape).sum(axis=0)
         assert np.all(psi.amplitudes[total > cutoff] == 0.0)
         assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_lift_rejects_non_unitary_transform():
+    rng = np.random.default_rng(37)
+    cutoff = 6
+    psi = _random_sector_state(rng, 2, cutoff)
+    v = random_unitary(rng, 2)
+    with pytest.raises(InputError, match="deviates from unitary"):
+        focksim.apply_mode_transform(psi, 1.01 * v, cutoff)
+    # photon counting hands the caller's basis rotation to the lift
+    base = FockStateVector(2, cutoff, psi, 0.0)
+    cfg = OracleConfig(cutoff=cutoff, tail_tol=1e-10)
+    with pytest.raises(InputError, match="deviates from unitary"):
+        focksim.fock_counting_fi(lambda lam: base, v + 1e-6, 0.0, cfg)
+
+
+def _lattice_number_operator(h, cutoff):
+    """sum_ij h_ij a_i^dag a_j as a dense matrix on the box (cutoff+1,) * M."""
+    m = h.shape[0]
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    eye = np.eye(cutoff + 1)
+    lowering = [functools.reduce(np.kron, [a if k == i else eye for k in range(m)]) for i in range(m)]
+    return sum(h[i, j] * lowering[i].T @ lowering[j] for i in range(m) for j in range(m))
+
+
+@pytest.mark.parametrize("m, cutoff", [(2, 5), (3, 5), (4, 3)])
+def test_lift_matches_exponential_of_lattice_operator(m, cutoff):
+    # the lift of v = expm(-i h) is expm(-i sum_ij h_ij a_i^dag a_j); the box
+    # operator maps N <= cutoff into itself, so its exponential is exact there
+    rng = np.random.default_rng(42 + m)
+    for _ in range(3):
+        h = random_hermitian(rng, m)
+        psi = _random_sector_state(rng, m, cutoff)
+        want = scipy.linalg.expm(-1j * _lattice_number_operator(h, cutoff)) @ psi.reshape(-1)
+        out = focksim.apply_mode_transform(psi, scipy.linalg.expm(-1j * h), cutoff)
+        assert np.max(np.abs(out.reshape(-1) - want)) < 1e-12
+
+
+def test_focksim_shares_no_algebra_with_the_engine():
+    tree = ast.parse(pathlib.Path(focksim.__file__).read_text(encoding="utf-8"))
+    imported, referenced = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+    assert not imported & {"scipy", "metrology", "optimal"}
+    assert not (imported | referenced) & {"hermitian_eig", "takagi", "unitary_exp"}

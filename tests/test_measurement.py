@@ -138,6 +138,16 @@ def test_sampling_deterministic_and_calibrated():
     assert abs(var - 0.5) < 3.0 * 0.5 * np.sqrt(2.0 / 10**6)
 
 
+def test_sampling_rejects_negative_seed():
+    d = _probe(1, [0.5])
+    gen = generator.from_matrix(np.diag([1.0]).astype(complex))
+    setup = HomodyneSetup(mode_indices=(0,))
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        measurement.sample_homodyne(d, gen, setup, 10, seed=-1)
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        measurement.empirical_fi(d, gen, setup, 10, seed=-1)
+
+
 def test_sampling_independent_streams():
     d = _probe(2, [1.0, 1.0])
     setup = HomodyneSetup(mode_indices=(0, 1))
