@@ -191,14 +191,12 @@ def apply_mode_transform(psi: np.ndarray, v: np.ndarray, cutoff: int) -> np.ndar
     Each rotation's blocks come from the two-mode recurrence of
     ``_two_mode_blocks`` and act on all occupations of the other modes as
     one matrix product per photon number of the pair. Raises InputError if
-    v deviates from unitary by more than matkernel.DEFAULT_TOL, and
-    TailTooLargeError if psi has more than 1e-12 probability at
-    N > cutoff, which the truncated lift cannot carry.
+    v deviates from unitary by more than matkernel.DEFAULT_TOL * M, the
+    engine's rule, and TailTooLargeError if psi has more than 1e-12
+    probability at N > cutoff, which the truncated lift cannot carry.
     """
     n_modes = int(v.shape[0])
-    deviation = matkernel.max_norm(v.conj().T @ v - np.eye(n_modes))
-    if deviation > matkernel.DEFAULT_TOL:
-        raise InputError(f"mode transform deviates from unitary by {deviation:.3e}")
+    matkernel._require_unitary(v, "mode transform")
     lattice = _lattice(cutoff, n_modes)
     flat_in = psi.reshape(-1)
     tail = float(np.sum(np.abs(flat_in[lattice.outside]) ** 2))

@@ -15,9 +15,6 @@ import numpy as np
 from . import matkernel
 from .errors import InputError
 
-_UNITARY_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class GaussianPureState:
     """Displacement vector beta and complex symmetric squeezing matrix f."""
@@ -55,8 +52,7 @@ class DisentangledForm:
         m = v.shape[0]
         if v.shape != (m, m):
             raise InputError("V must be square")
-        if matkernel.max_norm(v.conj().T @ v - np.eye(m)) > _UNITARY_TOL * m:
-            raise InputError("V is not unitary within tolerance")
+        matkernel._require_unitary(v, "V")
         alpha = matkernel.require_finite(np.asarray(self.alpha, dtype=complex), "alpha")
         r = np.asarray(self.r, dtype=float)
         if alpha.shape != (m,) or r.shape != (m,):

@@ -71,7 +71,7 @@ def from_matrix(
 ) -> Generator:
     """Wrap a Hermitian matrix with its ascending eigendecomposition."""
     g_matrix = matkernel.require_hermitian(np.asarray(g_matrix, dtype=complex), name="G")
-    eig = matkernel.hermitian_eig(g_matrix)
+    eig = matkernel._hermitian_eig(g_matrix)
     return Generator(
         G=g_matrix, eig=eig, signal_tol=signal_tol, basis_label=basis_label, meta=meta or {}
     )

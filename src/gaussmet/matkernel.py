@@ -51,6 +51,14 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _require_unitary(v: np.ndarray, name: str) -> None:
+    """The package's one unitarity rule: max|v^dag v - I| <= DEFAULT_TOL * M."""
+    m = v.shape[0]
+    dev = max_norm(v.conj().T @ v - np.eye(m))
+    if dev > DEFAULT_TOL * m:
+        raise InputError(f"{name} deviates from unitary by {dev:.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianEig:
     """Ascending eigenvalues and the unitary of column eigenvectors."""
@@ -119,7 +127,11 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
     are re-orthonormalized deterministically; isolated eigenvectors get a
     fixed phase. Raises InputError on non-Hermitian or non-finite input.
     """
-    a = require_hermitian(a)
+    return _hermitian_eig(require_hermitian(a))
+
+
+def _hermitian_eig(a: np.ndarray) -> HermitianEig:
+    """:func:`hermitian_eig` of a matrix require_hermitian has returned."""
     w, u = np.linalg.eigh(a)
     gap = 1e-9 * max(1.0, max_norm(a))
     cols = []

@@ -6,14 +6,16 @@ homodyne sampling with an empirical Fisher information estimator, direct
 (photon-counting) detection via the mean-removed generator identity, and
 the phase-structure condition under which that identity applies.
 
-Homodyne outcome statistics: a squeezed-vacuum eigenmode measured at
-relative phase phi has a zero-mean Gaussian outcome with variance
+Homodyne outcome model: a squeezed-vacuum eigenmode with eigenvalue g,
+measured at relative phase phi, has a zero-mean Gaussian outcome. With
+t = 2(phi + lambda g), its variance and lambda-derivative are
 
-    sigma^2 = [eta (sinh(2r) cos(2(phi + lambda g)) + cosh(2r))
-               + (1 - eta) sigma_env^2] / 2,
+    v  = [eta (e^{2r} cos^2(t/2) + e^{-2r} sin^2(t/2)) + (1 - eta) sigma_env^2] / 2,
+    v' = -eta g sinh(2r) sin t,
 
-where sigma_env^2 = 1 is a vacuum environment and the thermal knob N_B
-enters as sigma_env^2 = 2 N_B / (1 - eta) + 1.
+and its Fisher information is v'^2 / (2 v^2). Every term of v is
+non-negative, so no step cancels at any squeezing. sigma_env^2 is the
+environment's quadrature variance, 1 for vacuum (see sigma_env_from_thermal).
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ import numpy as np
 from . import matkernel, metrology
 from .errors import ConditionNotVerifiedWarning, InputError
 from .gaussian import DisentangledForm
-from .generator import DiscretizationGrid, Generator, from_matrix, signal_projector
+from .generator import DiscretizationGrid, Generator, signal_projector
 from .regmodes import RegularizedModePair, reg_mode_function
 
 _DIAG_TOL = 1e-9
 _PHASE_AMP_FLOOR = 1e-12
-_SHIFT_STEP = 1e-6  # central-difference step in the shift of counting_condition_check
 
 
 @dataclass(frozen=True)
@@ -101,44 +102,37 @@ def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...])
     return [(float(gt[n, n].real), float(d.r[n])) for n in modes]
 
 
-def _variance_coefficients(r: float, eta: float, sigma_env_sq: float) -> tuple[float, float]:
-    """A = eta cosh 2r + (1 - eta) sigma_env^2 and B = eta sinh 2r."""
-    return (
-        eta * np.cosh(2.0 * r) + (1.0 - eta) * sigma_env_sq,
-        eta * np.sinh(2.0 * r),
-    )
-
-
-def _variance(a: float, b: float, g: float, phase: float, lam: float) -> float:
-    """Outcome variance (A + B cos 2(phase + lam g)) / 2."""
-    return float((a + b * np.cos(2.0 * (phase + lam * g))) / 2.0)
-
-
 def homodyne_fi(d: DisentangledForm, gen: Generator, setup: HomodyneSetup) -> HomodyneResult:
     """Fisher information of multimode homodyne detection.
 
     Outcomes of distinct eigenmodes are independent Gaussians, so the FI
-    is the sum of per-mode contributions 2 eta^2 g^2 sinh^2(2r) sin^2(t) /
-    (A + B cos t)^2 with t = 2(phi + g lambda), A = eta cosh 2r +
-    (1-eta) sigma_env^2, B = eta sinh 2r. With phases='auto' each phase is
-    set to its optimum, where the contribution becomes
-    2 eta^2 g^2 sinh^2(2r) / (A^2 - B^2); at eta = 1 that equals the
-    eigenmode QFI share 8 g^2 s^2 (s^2 + 1).
+    is the sum of the per-mode v'^2 / (2 v^2) of the module docstring.
+    With phases='auto' each phase is set to its optimum, cos t = -B/A with
+    A = eta cosh 2r + (1 - eta) sigma_env^2 and B = eta sinh 2r. There
+    v = D / (2A) and the contribution is 2 (eta g sinh 2r)^2 / D, where
+    D = A^2 - B^2 = eta^2 + (1 - eta) sigma_env^2 (2 eta cosh 2r +
+    (1 - eta) sigma_env^2) is a sum of non-negative terms; at eta = 1
+    the contribution is the eigenmode QFI share 8 g^2 s^2 (s^2 + 1).
     """
     data = _eigenmode_data(d, gen, setup.mode_indices)
-    lam = setup.true_param
+    eta, lam = setup.eta, setup.true_param
+    noise = (1.0 - eta) * setup.sigma_env_sq
     per_mode, variances, phases_used = [], [], []
     for k, (g, r) in enumerate(data):
-        a, b = _variance_coefficients(r, setup.eta, setup.sigma_env_sq)
+        b = eta * np.sinh(2.0 * r)
         if setup.phases == "auto":
-            phi = float(0.5 * np.arccos(b / a) - g * lam + 0.5 * np.pi)
-            var = _variance(a, b, g, phi, lam)
-            fi_n = 2.0 * b**2 * g**2 / (a**2 - b**2) if r > 0 else 0.0
+            c = eta * np.cosh(2.0 * r)
+            den = eta**2 + noise * (2.0 * c + noise)
+            phi = float(0.5 * np.arctan2(np.sqrt(den), b) - g * lam + 0.5 * np.pi)
+            var = den / (2.0 * (c + noise))
+            fi_n = 2.0 * (b * g) ** 2 / den
         else:
             phi = float(setup.phases[k])
-            var = _variance(a, b, g, phi, lam)
-            fi_n = b**2 * g**2 * np.sin(2.0 * (phi + g * lam)) ** 2 / (2.0 * var**2)
-        variances.append(var)
+            half = phi + g * lam
+            var = (eta * (np.exp(2.0 * r) * np.cos(half) ** 2 + np.exp(-2.0 * r) * np.sin(half) ** 2)
+                   + noise) / 2.0
+            fi_n = (b * g * np.sin(2.0 * half)) ** 2 / (2.0 * var**2)
+        variances.append(float(var))
         per_mode.append(float(fi_n))
         phases_used.append(phi)
     return HomodyneResult(
@@ -164,10 +158,8 @@ def sample_homodyne(
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     result = homodyne_fi(d, gen, setup)
-    rng = np.random.default_rng(seed)
-    out = np.empty((len(setup.mode_indices), n_samples))
-    for k, var in enumerate(result.variances):
-        out[k] = rng.normal(0.0, np.sqrt(var), size=n_samples)
+    out = np.random.default_rng(seed).standard_normal((len(result.variances), n_samples))
+    out *= np.sqrt(result.variances)[:, None]
     return out
 
 
@@ -181,20 +173,16 @@ def empirical_fi(
     """Monte Carlo estimate of the homodyne FI via the squared score.
 
     Samples are drawn at the true parameter. The score of a zero-mean
-    Gaussian outcome x with variance v(lambda) is (x^2/v - 1) v'/(2v),
-    where v' = -B g sin 2(phi + lambda g); the FI estimate is the mean
-    squared score summed over modes.
+    Gaussian outcome x with variance v(lambda) is (x^2/v - 1) v'/(2v), and
+    (v'/(2v))^2 = FI_n / 2, so the estimate is the sum over modes of
+    FI_n / 2 times the sample mean of (x^2/v - 1)^2, with v and FI_n read
+    from :func:`homodyne_fi`.
     """
-    data = _eigenmode_data(d, gen, setup.mode_indices)
     base = homodyne_fi(d, gen, setup)
     samples = sample_homodyne(d, gen, setup, n_samples, seed)
     total = 0.0
-    for k, (g, r) in enumerate(data):
-        _, b = _variance_coefficients(r, setup.eta, setup.sigma_env_sq)
-        v = base.variances[k]
-        dv = -b * g * np.sin(2.0 * (base.phases_used[k] + setup.true_param * g))
-        score = (samples[k] ** 2 / v - 1.0) * (dv / (2.0 * v))
-        total += float(np.mean(score**2))
+    for fi_n, v, x in zip(base.per_mode_fi, base.variances, samples):
+        total += 0.5 * fi_n * float(np.mean((x**2 / v - 1.0) ** 2))
     return total
 
 
@@ -209,7 +197,9 @@ def direct_detection_fi(
     spaced spectrum, counting in the Fourier-dual basis is insensitive to
     the mean of the generator-intensity distribution and attains the QFI
     of the mean-removed probe. That identity is realized here by shifting
-    the generator, G -> G - gbar P_S, and evaluating the exact QFI.
+    the generator, G -> G - gbar P_S, and evaluating the exact QFI. The
+    shifted generator keeps G's eigenvectors: only the signal eigenvalues
+    move, by -gbar, so no second eigendecomposition is formed.
 
     The phase-structure premise behind the identity is not checkable from
     (state, generator) alone; pass ``condition_verified=True`` after
@@ -224,9 +214,14 @@ def direct_detection_fi(
             ConditionNotVerifiedWarning,
             stacklevel=2,
         )
-    res = metrology.resources(d, gen)
-    shifted = gen.G - res.g_mean * signal_projector(gen)
-    gen_shifted = from_matrix(shifted, signal_tol=gen.signal_tol)
+    g_mean = metrology.resources(d, gen).g_mean
+    values = np.where(gen.idler_mask, gen.eig.eigvals, gen.eig.eigvals - g_mean)
+    order = np.argsort(values, kind="stable")
+    gen_shifted = Generator(
+        G=gen.G - g_mean * signal_projector(gen),
+        eig=matkernel.HermitianEig(eigvals=values[order], U=gen.eig.U[:, order]),
+        signal_tol=gen.signal_tol,
+    )
     return metrology.qfi(d, gen_shifted).qfi
 
 
@@ -240,38 +235,28 @@ def counting_condition_check(
     Evaluates the two-photon amplitude g(z + a, z~ + a) of the mean-
     removed two-Gaussian-mode squeezed state on the grid for every shift
     sample and returns the largest magnitude of the shift derivative of
-    its phase, computed as Im[conj(g) dg/da] / |g|^2, together with the
-    verdict max < 1e-6. Points with |g| below 1e-12 are excluded, since
-    the phase is undefined at zeros.
+    its phase, Im[conj(g) dg/da] / |g|^2, together with the verdict
+    max < 1e-6. Each mode's product m_k(z + a) m_k(z~ + a) has the exact
+    derivative -[(z + z~ + 2a - 2 z_k) / (2 sigma^2) + 2i p_k] times
+    itself. Points with |g| below 1e-12 are excluded, since the phase is
+    undefined at zeros.
     """
-    t_plus, t_minus = np.tanh(pair.r[0]), np.tanh(pair.r[1])
-    s_plus, s_minus = np.sinh(pair.r[0]) ** 2, np.sinh(pair.r[1]) ** 2
-    n_total = s_plus + s_minus
-    p_mean = (
-        (s_plus * pair.center_p[0] + s_minus * pair.center_p[1]) / n_total
-        if n_total > 0
-        else 0.0
-    )
-
+    t = np.tanh(pair.r)
+    s = np.sinh(pair.r) ** 2
+    # mean-removed modes: momentum centers measured from the photon-weighted mean
+    p = np.asarray(pair.center_p) - (s @ pair.center_p / s.sum() if s.sum() > 0 else 0.0)
     z = grid.quadrature_nodes()
-    zz, zz_t = np.meshgrid(z, z, indexing="ij")
-
-    def amplitude(a: float) -> np.ndarray:
-        # mean-removed modes: momentum centers measured from p_mean
-        m1 = reg_mode_function(zz + a, pair.center_z[0], pair.center_p[0] - p_mean,
-                               pair.sigma_z, pair.theta[0])
-        m1t = reg_mode_function(zz_t + a, pair.center_z[0], pair.center_p[0] - p_mean,
-                                pair.sigma_z, pair.theta[0])
-        m2 = reg_mode_function(zz + a, pair.center_z[1], pair.center_p[1] - p_mean,
-                               pair.sigma_z, pair.theta[1])
-        m2t = reg_mode_function(zz_t + a, pair.center_z[1], pair.center_p[1] - p_mean,
-                                pair.sigma_z, pair.theta[1])
-        return 0.5 * (t_plus * m1 * m1t + t_minus * m2 * m2t)
 
     worst = 0.0
     for a in np.asarray(shift_samples, dtype=float):
-        g0 = amplitude(a)
-        dg = (amplitude(a + _SHIFT_STEP) - amplitude(a - _SHIFT_STEP)) / (2.0 * _SHIFT_STEP)
+        g0 = np.zeros((z.size, z.size), dtype=complex)
+        dg = np.zeros_like(g0)
+        for k in range(2):
+            m = reg_mode_function(z + a, pair.center_z[k], p[k], pair.sigma_z, pair.theta[k])
+            prod = 0.5 * t[k] * np.outer(m, m)
+            w = (z + a - pair.center_z[k]) / (2.0 * pair.sigma_z**2) + 1j * p[k]
+            g0 += prod
+            dg -= (w[:, None] + w[None, :]) * prod
         mag = np.abs(g0)
         # amplitude floor: absolute for undefined phases at zeros, plus a
         # relative conditioning floor so cancellation noise near zeros of

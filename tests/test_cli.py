@@ -118,6 +118,26 @@ def test_homodyne_with_samples_and_csv(fixture_paths, capsys, tmp_path):
         assert data.shape == (20000,)
 
 
+def test_homodyne_writes_finite_fi_at_high_squeezing(tmp_path, capsys):
+    # at r = 10, cosh^2 20 - sinh^2 20 cancels to 0 in floating point
+    state = {
+        "n_modes": 2,
+        "beta": [[0.0, 0.0], [0.0, 0.0]],
+        "f": [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [10.0, 0.0]]],
+    }
+    gen = {"G": [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    (tmp_path / "gen.json").write_text(json.dumps(gen))
+    out = tmp_path / "hom.json"
+    rc = cli.run(["homodyne", "--state", str(tmp_path / "state.json"), "--generator",
+                  str(tmp_path / "gen.json"), "--samples", "1000", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert np.isfinite(payload["fi"]) and np.isfinite(payload["empirical_fi"])
+    assert payload["fi"] == pytest.approx(4.0 * np.sinh(20.0) ** 2, rel=1e-11)
+    assert all(v > 0.0 for v in payload["variances"])
+
+
 def test_scenario_command(tmp_path, capsys):
     config = {
         "pair": {

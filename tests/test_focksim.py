@@ -415,6 +415,22 @@ def test_lift_rejects_non_unitary_transform():
         focksim.fock_counting_fi(lambda lam: base, v + 1e-6, 0.0, cfg)
 
 
+def test_engine_and_oracle_share_one_unitarity_rule():
+    # a rotation scaled by 1 + 0.8e-10 deviates from unitary by 1.6e-10:
+    # within the rule 1e-10 * M at M = 2, so both layers accept it
+    c, s = np.cos(0.4), np.sin(0.4)
+    rot = np.array([[c, -s], [s, c]], dtype=complex)
+    d = DisentangledForm(V=(1.0 + 0.8e-10) * rot, alpha=np.zeros(2, complex), r=np.array([0.3, 0.1]))
+    psi = focksim.fock_build(d, OracleConfig(cutoff=20, tail_tol=1e-9))
+    assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-9)
+    # twice that deviation is refused by both
+    v = (1.0 + 1.6e-10) * rot
+    with pytest.raises(InputError, match="V deviates from unitary"):
+        DisentangledForm(V=v, alpha=np.zeros(2, complex), r=np.array([0.3, 0.1]))
+    with pytest.raises(InputError, match="mode transform deviates from unitary"):
+        focksim.apply_mode_transform(psi.amplitudes, v, 20)
+
+
 def _lattice_number_operator(h, cutoff):
     """sum_ij h_ij a_i^dag a_j as a dense matrix on the box (cutoff+1,) * M."""
     m = h.shape[0]

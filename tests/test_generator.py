@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaussmet import generator
+from gaussmet import generator, matkernel
 from gaussmet.errors import InputError
 from gaussmet.generator import DiscretizationGrid, HGParams
 from gaussmet.matkernel import max_norm
@@ -27,6 +27,21 @@ def test_from_matrix_2x2_analytic():
 
 def test_from_matrix_rejects_non_hermitian():
     with pytest.raises(InputError, match="deviates from Hermitian"):
+        generator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_from_matrix_checks_hermiticity_once(monkeypatch):
+    names = []
+    check = matkernel.require_hermitian
+
+    def counted(a, name="matrix"):
+        names.append(name)
+        return check(a, name)
+
+    monkeypatch.setattr(matkernel, "require_hermitian", counted)
+    generator.from_matrix(random_hermitian(np.random.default_rng(2), 3))
+    assert names == ["G"]
+    with pytest.raises(InputError, match="G deviates from Hermitian"):
         generator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 

@@ -1,12 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussmet import generator, measurement, metrology, optimal
+from gaussmet import generator, matkernel, measurement, metrology, optimal
 from gaussmet.errors import ConditionNotVerifiedWarning, InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import DiscretizationGrid
 from gaussmet.measurement import HomodyneSetup
 from gaussmet.regmodes import RegularizedModePair
+from gaussmet.verify import random_unitary
 
 GEN13 = generator.from_matrix(np.diag([1.0, 3.0]).astype(complex))
 
@@ -220,6 +224,141 @@ def test_direct_detection_bounded_by_qfi_on_equal_squeezing():
         assert qfi - fi == pytest.approx(gap, rel=1e-9, abs=1e-9)
 
 
+GEN_PM = generator.from_matrix(np.diag([-1.0, 1.0]).astype(complex))
+
+
+def _mp_homodyne(r, eta, env, g, half):
+    """Outcome variance and FI of one eigenmode at phi + lambda g = half.
+
+    Uses the plain variance (eta (sinh 2r cos 2h + cosh 2r) + (1 - eta) env) / 2
+    at 60 digits and takes the lambda-derivative numerically.
+    """
+    with mpmath.workdps(60):
+        r, eta, env, g, half = (mpmath.mpf(x) for x in (r, eta, env, g, half))
+
+        def var(lam):
+            t = 2 * (half + lam * g)
+            return (eta * (mpmath.sinh(2 * r) * mpmath.cos(t) + mpmath.cosh(2 * r)) + (1 - eta) * env) / 2
+
+        v = var(0)
+        return float(v), float(mpmath.diff(var, 0) ** 2 / (2 * v**2))
+
+
+def _mp_homodyne_optimum(r, eta, env, g):
+    """Optimal-phase variance, FI and phase from A^2 - B^2 at 60 digits."""
+    with mpmath.workdps(60):
+        r, eta, env, g = (mpmath.mpf(x) for x in (r, eta, env, g))
+        a = eta * mpmath.cosh(2 * r) + (1 - eta) * env
+        b = eta * mpmath.sinh(2 * r)
+        den = a**2 - b**2
+        return float(den / (2 * a)), float(2 * b**2 * g**2 / den), float(mpmath.acos(b / a) / 2 + mpmath.pi / 2)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.999999, 0.75])
+@pytest.mark.parametrize("r", [1.0, 6.0, 9.0, 10.0, 12.0, 15.0])
+def test_homodyne_matches_mpmath_at_high_squeezing(r, eta):
+    env = 1.5
+    d = _probe(2, np.sinh([r, r]) ** 2)
+    auto = measurement.homodyne_fi(
+        d, GEN_PM, HomodyneSetup(mode_indices=(0, 1), eta=eta, sigma_env_sq=env)
+    )
+    for k, g in enumerate((-1.0, 1.0)):
+        var, fi, phase = _mp_homodyne_optimum(d.r[k], eta, env, g)
+        assert auto.variances[k] == pytest.approx(var, rel=1e-12)
+        assert auto.per_mode_fi[k] == pytest.approx(fi, rel=1e-12)
+        assert auto.phases_used[k] == pytest.approx(phase, rel=1e-12)
+    # explicit phases: the optimum itself (lambda = 0, so phi + lambda g is
+    # exact in floating point) and a generic phase at a nonzero lambda
+    for phases, lam in ((auto.phases_used, 0.0), ((0.3, -0.4), 0.2)):
+        res = measurement.homodyne_fi(
+            d,
+            GEN_PM,
+            HomodyneSetup(mode_indices=(0, 1), phases=phases, eta=eta, sigma_env_sq=env, true_param=lam),
+        )
+        for k, g in enumerate((-1.0, 1.0)):
+            var, fi = _mp_homodyne(d.r[k], eta, env, g, phases[k] + lam * g)
+            assert res.variances[k] == pytest.approx(var, rel=1e-12)
+            assert res.per_mode_fi[k] == pytest.approx(fi, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_homodyne_fi_never_exceeds_qfi(data, m):
+    floats = st.floats
+    r = np.array(data.draw(st.lists(floats(0.0, 15.0), min_size=m, max_size=m)))
+    g = data.draw(st.lists(floats(-3.0, 3.0), min_size=m, max_size=m))
+    modes = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
+    phases = data.draw(
+        st.one_of(st.just("auto"), st.tuples(*[floats(-10.0, 10.0)] * len(modes)))
+    )
+    setup = HomodyneSetup(
+        mode_indices=modes,
+        phases=phases,
+        eta=data.draw(st.one_of(st.just(1.0), floats(1e-6, 1.0))),
+        sigma_env_sq=data.draw(floats(1.0, 10.0)),
+        true_param=data.draw(floats(-3.0, 3.0)),
+    )
+    gen = generator.from_matrix(np.diag(g).astype(complex))
+    d = DisentangledForm(V=np.eye(m, dtype=complex), alpha=np.zeros(m, complex), r=r)
+    res = measurement.homodyne_fi(d, gen, setup)
+    assert np.isfinite(res.fi) and all(v > 0.0 and np.isfinite(v) for v in res.variances)
+    assert all(f >= 0.0 for f in res.per_mode_fi)
+    # the floor is the smallest normal float: below it, values are
+    # subnormal and carry no relative precision
+    assert res.fi <= metrology.qfi(d, gen).qfi * (1.0 + 1e-9) + np.finfo(float).tiny
+
+
+def test_empirical_fi_finite_at_high_squeezing():
+    d = _probe(2, np.sinh([10.0, 10.0]) ** 2)
+    setup = HomodyneSetup(mode_indices=(0, 1))
+    fi = measurement.homodyne_fi(d, GEN_PM, setup).fi
+    assert fi == pytest.approx(4.0 * np.sinh(20.0) ** 2, rel=1e-12)
+    est = measurement.empirical_fi(d, GEN_PM, setup, 10**6, seed=4)
+    assert np.isfinite(est)
+    assert est == pytest.approx(fi, rel=0.02)
+
+
+def test_direct_detection_matches_qfi_of_shifted_matrix():
+    # G - gbar P_S rebuilt from the matrix, on spectra with idlers (zero
+    # eigenvalues) and repeated signal eigenvalues
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        m = int(rng.integers(2, 7))
+        vals = rng.uniform(-2.0, 2.0, m)
+        vals[: int(rng.integers(0, m - 1))] = 0.0
+        if m > 3 and rng.random() < 0.5:
+            vals[-2] = vals[-1]
+        w = random_unitary(rng, m)
+        g_matrix = (w * vals) @ w.conj().T
+        gen = generator.from_matrix(g_matrix)
+        d = DisentangledForm(
+            V=random_unitary(rng, m),
+            alpha=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+            r=rng.uniform(0.0, 1.5, m),
+        )
+        signal = w[:, vals != 0.0]
+        g_mean = metrology.resources(d, gen).g_mean
+        shifted = generator.from_matrix(g_matrix - g_mean * signal @ signal.conj().T)
+        want = metrology.qfi(d, shifted).qfi
+        got = measurement.direct_detection_fi(d, gen, condition_verified=True)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+
+def test_direct_detection_forms_no_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(5)
+    w = random_unitary(rng, 4)
+    gen = generator.from_matrix((w * np.array([0.0, -1.0, 0.5, 2.0])) @ w.conj().T)
+    d = DisentangledForm(V=random_unitary(rng, 4), alpha=np.zeros(4, complex), r=rng.uniform(0.2, 1.0, 4))
+    want = measurement.direct_detection_fi(d, gen, condition_verified=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("direct_detection_fi formed an eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(matkernel, "hermitian_eig", refuse)
+    assert measurement.direct_detection_fi(d, gen, condition_verified=True) == want
+
+
 GRID = DiscretizationGrid(z_min=-9.0, z_max=9.0, n_bins=480)
 SHIFTS = [0.0, 0.13, -0.21, 0.55]
 
@@ -253,6 +392,59 @@ def test_counting_condition_violated_for_unequal_squeezing():
     worst, ok = measurement.counting_condition_check(pair, GRID, SHIFTS)
     assert not ok
     assert worst > 1e-3
+
+
+def _test_amplitude(pair, z, a):
+    """Two-photon amplitude of the mean-removed pair, written out from the mode formula."""
+    s = np.sinh(np.asarray(pair.r)) ** 2
+    p_mean = float(np.dot(s, pair.center_p) / s.sum())
+    x, y = np.meshgrid(z + a, z + a, indexing="ij")
+    total = np.zeros(x.shape, dtype=complex)
+    for k in range(2):
+        def mode(u, k=k):
+            env = np.exp(-((u - pair.center_z[k]) ** 2) / (4.0 * pair.sigma_z**2))
+            carrier = np.exp(-1j * ((pair.center_p[k] - p_mean) * (u - pair.center_z[k]) + pair.theta[k]))
+            return (2.0 * np.pi * pair.sigma_z**2) ** -0.25 * env * carrier
+
+        total += 0.5 * np.tanh(pair.r[k]) * mode(x) * mode(y)
+    return total
+
+
+def _central_difference_worst(pair, grid, shifts, h=1e-5):
+    z = grid.quadrature_nodes()
+    worst = 0.0
+    for a in shifts:
+        g0 = _test_amplitude(pair, z, a)
+        dg = (_test_amplitude(pair, z, a + h) - _test_amplitude(pair, z, a - h)) / (2.0 * h)
+        mag = np.abs(g0)
+        keep = (mag > 1e-12) & (mag > 1e-3 * mag.max())
+        worst = max(worst, float(np.max(np.abs(np.imag(np.conj(g0[keep]) * dg[keep])) / mag[keep] ** 2)))
+    return worst
+
+
+def test_counting_shift_derivative_matches_central_difference():
+    violated = [
+        RegularizedModePair(center_z=(0.6, -0.6), center_p=(3.0, -3.0), sigma_z=1.0, r=(0.5, 0.5)),
+        RegularizedModePair(center_z=(0.0, 0.0), center_p=(3.0, -3.0), sigma_z=1.0, r=(0.8, 0.3)),
+        RegularizedModePair(
+            center_z=(0.2, -0.1), center_p=(1.5, 2.5), sigma_z=0.8, theta=(0.3, 1.1), r=(0.6, 0.4)
+        ),
+    ]
+    for pair in violated:
+        worst, _ = measurement.counting_condition_check(pair, GRID, SHIFTS)
+        assert worst == pytest.approx(_central_difference_worst(pair, GRID, SHIFTS), rel=1e-6)
+    # matched pairs: the exact derivative leaves only round-off (a central
+    # difference in the shift reads about 2.6e-8 on the first)
+    for matched in (
+        RegularizedModePair(
+            center_z=(0.2, 0.2), center_p=(4.0, -4.0), sigma_z=1.0, theta=(0.3, 0.3), r=(0.6, 0.6)
+        ),
+        RegularizedModePair(
+            center_z=(0.4, 0.4), center_p=(5.3, 5.1), sigma_z=0.9, theta=(0.7, 0.7), r=(0.5, 0.5)
+        ),
+    ):
+        worst, ok = measurement.counting_condition_check(matched, GRID, SHIFTS)
+        assert ok and worst < 1e-9
 
 
 def test_thermal_knob():
