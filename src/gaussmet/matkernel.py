@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 
@@ -148,10 +147,15 @@ def _hermitian_eig(a: np.ndarray) -> HermitianEig:
 def takagi(f: np.ndarray) -> TakagiFactorization:
     """Takagi factorization f = V diag(r) V^T of a complex symmetric matrix.
 
-    Built on the SVD: the symmetric unitary residue U^H f conj(U) is
-    diagonal up to degenerate singular-value blocks, whose symmetric
-    square root absorbs the remaining mixing. Zero singular values keep
-    their SVD columns unchanged.
+    Built on the SVD: the residue U^H f conj(U) is diagonal up to blocks
+    b over k-fold degenerate singular values, scaled to be unitary and
+    symmetric. Each b is absorbed by a unitary w with w w^T = b:
+    b conj(w) = w is, for w = x + i y, the real symmetric eigenproblem
+    [[Re b, Im b], [Im b, -Re b]] [x; y] = [x; y], whose eigenvalues are
+    +-1, k of each, and the k eigenvectors at +1 are orthonormal as
+    complex vectors because [-y; x] spans the -1 eigenspace
+    (Bunse-Gerstner and Gragg, J. Comput. Appl. Math. 21, 41 (1988)).
+    Zero singular values keep their SVD columns unchanged.
     """
     f = require_symmetric(f)
     m = f.shape[0]
@@ -167,10 +171,12 @@ def takagi(f: np.ndarray) -> TakagiFactorization:
             v[:, sl] = u[:, sl]
             continue
         block = z[sl, sl] / s_val  # unitary and symmetric
-        if sl.stop - sl.start == 1:
+        k = block.shape[0]
+        if k == 1:
             q = np.array([[np.exp(0.5j * np.angle(block[0, 0]))]])
         else:
-            q = scipy.linalg.sqrtm(block)
+            _, vec = np.linalg.eigh(np.block([[block.real, block.imag], [block.imag, -block.real]]))
+            q = vec[:k, k:] + 1j * vec[k:, k:]
         v[:, sl] = u[:, sl] @ q
     return TakagiFactorization(V=v, r=sigma)
 

@@ -197,9 +197,10 @@ def direct_detection_fi(
     spaced spectrum, counting in the Fourier-dual basis is insensitive to
     the mean of the generator-intensity distribution and attains the QFI
     of the mean-removed probe. That identity is realized here by shifting
-    the generator, G -> G - gbar P_S, and evaluating the exact QFI. The
-    shifted generator keeps G's eigenvectors: only the signal eigenvalues
-    move, by -gbar, so no second eigendecomposition is formed.
+    the generator, G -> G - gbar P_S, and evaluating the exact QFI value
+    alone, without the resources and bound of a :func:`metrology.qfi`
+    report. The shifted generator keeps G's eigenvectors: only the signal
+    eigenvalues move, by -gbar, so no second eigendecomposition is formed.
 
     The phase-structure premise behind the identity is not checkable from
     (state, generator) alone; pass ``condition_verified=True`` after
@@ -222,7 +223,7 @@ def direct_detection_fi(
         eig=matkernel.HermitianEig(eigvals=values[order], U=gen.eig.U[:, order]),
         signal_tol=gen.signal_tol,
     )
-    return metrology.qfi(d, gen_shifted).qfi
+    return metrology._qfi_value(d, metrology.build_workspace(d, gen_shifted))
 
 
 def counting_condition_check(

@@ -136,6 +136,15 @@ def qfi_upper_bound_strict(d: DisentangledForm, gen: Generator) -> float:
     return (8.0 * g2 + 4.0 * d2) * n**2 + 12.0 * (g2 + d2) * n - 4.0 * tr_g2s2
 
 
+def _qfi_value(d: DisentangledForm, ws: QfiWorkspace) -> float:
+    """The QFI sum of :func:`qfi`, from a workspace of the probe."""
+    gt, r = ws.Gtilde, d.r
+    w = gt.real * np.sinh(r[:, None] + r) + 1j * gt.imag * np.sinh(r - r[:, None])
+    g_alpha = gt @ d.alpha
+    u = np.exp(r) * g_alpha.real + 1j * np.exp(-r) * g_alpha.imag
+    return 4.0 * float(0.5 * np.sum(np.abs(w) ** 2) + np.sum(np.abs(u) ** 2))
+
+
 def qfi(d: DisentangledForm, gen: Generator) -> QfiReport:
     """Exact QFI of a pure Gaussian probe under exp(-i lambda G).
 
@@ -151,12 +160,7 @@ def qfi(d: DisentangledForm, gen: Generator) -> QfiReport:
     rotation gives exactly zero at any r. The report also carries the
     resource triple and the bound check.
     """
-    ws = build_workspace(d, gen)
-    gt, r = ws.Gtilde, d.r
-    w = gt.real * np.sinh(r[:, None] + r) + 1j * gt.imag * np.sinh(r - r[:, None])
-    g_alpha = gt @ d.alpha
-    u = np.exp(r) * g_alpha.real + 1j * np.exp(-r) * g_alpha.imag
-    value = 4.0 * float(0.5 * np.sum(np.abs(w) ** 2) + np.sum(np.abs(u) ** 2))
+    value = _qfi_value(d, build_workspace(d, gen))
     res = resources(d, gen)
     bound = qfi_upper_bound(res)
     satisfied = value <= bound + 1e-9 * max(1.0, bound)

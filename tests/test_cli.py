@@ -557,6 +557,16 @@ def test_python_dash_m_runs_the_cli(fixture_paths, capsys):
     assert proc.stdout == expected and proc.stderr == ""
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy.linalg would more than double the start-up of every command
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gaussmet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _random_dense_generator(tmp_path, m, seed):
     rng = np.random.default_rng(seed)
     w = verify.random_unitary(rng, m)

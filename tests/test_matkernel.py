@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gaussmet import matkernel
+from gaussmet import gaussian, generator, matkernel, metrology
 from gaussmet.errors import InputError
-from gaussmet.verify import random_hermitian
+from gaussmet.verify import random_hermitian, random_unitary
 
 
 def test_hermitian_eig_diagonal_sorts_ascending():
@@ -101,6 +101,52 @@ def test_takagi_property_random_symmetric():
         recon = tak.V @ np.diag(tak.r).astype(complex) @ tak.V.T
         assert matkernel.max_norm(f - recon) <= 1e-9 * (1.0 + matkernel.max_norm(f))
         assert matkernel.max_norm(tak.V.conj().T @ tak.V - np.eye(m)) <= 1e-10
+
+
+_LEVELS = (0.0, 0.3, 0.7, 1.2, 2.0)
+
+
+def _degenerate_factors(rng):
+    """(V, r) on M = 2..8 modes whose first 2..M values of r are equal.
+
+    r takes well-separated levels, zero among them, so every cluster is
+    exactly degenerate; V is a real orthogonal or a complex unitary.
+    """
+    m = int(rng.integers(2, 9))
+    r = rng.choice(_LEVELS, m)
+    r[: int(rng.integers(2, m + 1))] = rng.choice(_LEVELS)
+    if rng.random() < 0.5:
+        v = np.linalg.qr(rng.standard_normal((m, m)))[0].astype(complex)
+    else:
+        v = random_unitary(rng, m)
+    return v, np.sort(r)[::-1]
+
+
+def test_takagi_degenerate_clusters():
+    rng = np.random.default_rng(1313)
+    for trial in range(400):
+        v, r = _degenerate_factors(rng)
+        m = len(r)
+        f = v @ np.diag(r).astype(complex) @ v.T
+        tak = matkernel.takagi(f)
+        assert np.allclose(tak.r, r, rtol=0.0, atol=1e-12)
+        recon = tak.V @ np.diag(tak.r).astype(complex) @ tak.V.T
+        assert matkernel.max_norm(f - recon) <= 1e-12 * (1.0 + matkernel.max_norm(f))
+        assert matkernel.max_norm(tak.V.conj().T @ tak.V - np.eye(m)) <= 1e-13
+        assert matkernel.takagi(f.copy()).V.tobytes() == tak.V.tobytes()
+
+
+def test_disentangle_degenerate_clusters_keeps_qfi():
+    rng = np.random.default_rng(1314)
+    for trial in range(200):
+        v, r = _degenerate_factors(rng)
+        m = len(r)
+        alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        d = gaussian.DisentangledForm(V=v, alpha=alpha, r=r)
+        gen = generator.from_matrix(random_hermitian(rng, m))
+        want = metrology.qfi(d, gen).qfi
+        got = metrology.qfi(gaussian.disentangle(gaussian.assemble(d)), gen).qfi
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_takagi_rejects_asymmetric():
