@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import jsonio, measurement, metrology, optimal, scenarios, verify
+from . import generator, jsonio, measurement, metrology, optimal, scenarios, verify
 from .errors import GaussmetError
 from .gaussian import assemble, disentangle
 
@@ -32,12 +32,7 @@ _BUILD_KINDS = {
     "idler": "idler_assisted",
 }
 
-_SCENARIO_KINDS = {
-    "time-shift": "time_shift",
-    "frequency-shift": "frequency_shift",
-    "beam-displacement": "beam_displacement",
-    "beam-tilt": "beam_tilt",
-}
+_SCENARIO_KINDS = {k.replace("_", "-"): k for k in generator.SHIFT_DOMAINS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,8 +127,7 @@ def _sig_digits(args) -> int:
     return 17 if getattr(args, "full_precision", False) else 12
 
 
-def _emit(payload: dict, out_path: str | None, sig: int) -> None:
-    rounded = jsonio.round_floats(payload, sig)
+def _emit(rounded: dict, out_path: str | None) -> None:
     if out_path:
         jsonio.dump_json(rounded, out_path)
     else:
@@ -144,7 +138,7 @@ def _cmd_qfi(args) -> int:
     state = jsonio.state_from_dict(jsonio.load_json(args.state))
     gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
     report = metrology.qfi(disentangle(state), gen)
-    _emit(dataclasses.asdict(report), args.out, _sig_digits(args))
+    _emit(jsonio.round_floats(dataclasses.asdict(report), _sig_digits(args)), args.out)
     return 0
 
 
@@ -161,15 +155,16 @@ def _cmd_build(args) -> int:
         spectrum_tol=args.spectrum_tol if args.spectrum_tol is not None else np.inf,
     )
     result = optimal.build_probe(spec, gen)
-    state_dict = jsonio.state_to_dict(assemble(result.state, basis_label=gen.basis_label))
-    jsonio.dump_json(state_dict, args.out)
     summary = {
         "state_path": args.out,
         "achieved": dataclasses.asdict(result.achieved),
         "eigen_residual": result.eigen_residual,
         "predicted_qfi": result.predicted_qfi,
     }
-    print(jsonio.format_json(jsonio.round_floats(summary, _sig_digits(args))))
+    summary = jsonio.round_floats(summary, _sig_digits(args))  # raises before any file is written
+    state_dict = jsonio.state_to_dict(assemble(result.state, basis_label=gen.basis_label))
+    jsonio.dump_json(state_dict, args.out)
+    print(jsonio.format_json(summary))
     return 0
 
 
@@ -191,13 +186,14 @@ def _cmd_homodyne(args) -> int:
         payload["empirical_fi"] = measurement.empirical_fi(
             d, gen, setup, args.samples, args.seed
         )
-        if args.samples_out:
-            samples = measurement.sample_homodyne(d, gen, setup, args.samples, args.seed)
-            for k, row in enumerate(samples):
-                csv = io.StringIO()
-                np.savetxt(csv, row, fmt="%.12g")
-                jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", csv.getvalue())
-    _emit(payload, args.out, _sig_digits(args))
+    payload = jsonio.round_floats(payload, _sig_digits(args))
+    if args.samples > 0 and args.samples_out:
+        samples = measurement.sample_homodyne(d, gen, setup, args.samples, args.seed)
+        for k, row in enumerate(samples):
+            csv = io.StringIO()
+            np.savetxt(csv, row, fmt="%.12g")
+            jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", csv.getvalue())
+    _emit(payload, args.out)
     return 0
 
 

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the finiteness check, shared across the package."""
+
+import math
+import numbers
 
 
 class GaussmetError(Exception):
@@ -25,3 +28,10 @@ class RegularizationWarning(GaussmetWarning):
 
 class ConditionNotVerifiedWarning(GaussmetWarning):
     """A measurement identity is being applied without its premise checked."""
+
+
+def require_finite(**values) -> None:
+    """Raise InputError naming the first value that is not a finite number."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise InputError(f"{name} must be a finite number, got {value!r}")

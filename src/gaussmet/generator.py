@@ -148,6 +148,12 @@ class HGParams:
             raise InputError("sigma_z must be positive")
 
 
+def _hg_ladder(center_p: float, sigma_z: float, n: int) -> np.ndarray:
+    """The matrix G of :func:`hg_generator` on levels 0..n-1, p0 = center_p."""
+    up = 1j / (np.sqrt(2.0) * sigma_z) * np.sqrt(np.arange(1, n) / 2.0)  # G[k-1, k], k = 1..n-1
+    return np.diag(np.full(n, center_p, dtype=complex)) + np.diag(up, 1) + np.diag(up.conj(), -1)
+
+
 def hg_generator(hg: HGParams, n_modes: int) -> Generator:
     """Shift generator in a truncated Hermite-Gauss mode basis.
 
@@ -160,16 +166,9 @@ def hg_generator(hg: HGParams, n_modes: int) -> Generator:
     """
     if n_modes < 2:
         raise InputError("need at least two Hermite-Gauss levels")
-    m = n_modes
-    g = np.diag(np.full(m, hg.center_p, dtype=complex))
-    pref = 1.0 / (np.sqrt(2.0) * hg.sigma_z)
-    for k in range(1, m):
-        # column k couples down to row k-1 with +i sqrt(k/2) prefactor
-        g[k - 1, k] = 1j * pref * np.sqrt(k / 2.0)
-        g[k, k - 1] = np.conj(g[k - 1, k])
-    dropped = pref * np.sqrt(m / 2.0)
+    dropped = 1.0 / (np.sqrt(2.0) * hg.sigma_z) * np.sqrt(n_modes / 2.0)
     return from_matrix(
-        g,
+        _hg_ladder(hg.center_p, hg.sigma_z, n_modes),
         basis_label="hermite_gauss",
         meta={"dropped_coupling": dropped, "hg_params": hg},
     )

@@ -6,7 +6,7 @@ at a time (``_pairs``, ``_parse_array``). Files are the bytes of
 shortest-round-trip floats, so they round-trip bit-exactly. Reports
 need no schema here: the CLI converts its result dataclasses with
 ``dataclasses.asdict`` and rounds them with ``round_floats`` to a
-significant-digit budget.
+significant-digit budget, which also rejects NaN and infinity.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import secrets
 from typing import Any, Iterator
@@ -124,10 +125,12 @@ def scenario_config_from_dict(obj: dict, kind: str | None = None) -> ScenarioCon
 
 
 def round_floats(obj: Any, sig_digits: int) -> Any:
-    """Round every float in a JSON-ready object to sig_digits digits."""
+    """Round every float in a JSON-ready object to sig_digits digits; reject NaN and inf."""
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, float):  # nan and +-inf format and parse back unchanged
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise InputError(f"the report holds {obj}, which JSON cannot represent")
         return float(f"{obj:.{sig_digits}g}")
     if isinstance(obj, dict):
         return {k: round_floats(v, sig_digits) for k, v in obj.items()}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel, metrology
-from .errors import ConditionNotVerifiedWarning, InputError
+from .errors import ConditionNotVerifiedWarning, InputError, require_finite
 from .gaussian import DisentangledForm
 from .generator import DiscretizationGrid, Generator, signal_projector
 from .regmodes import RegularizedModePair, reg_mode_function
@@ -48,13 +48,16 @@ class HomodyneSetup:
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise InputError("eta must lie in (0, 1]")
-        if self.sigma_env_sq < 1.0:
+        require_finite(sigma_env_sq=self.sigma_env_sq, true_param=self.true_param)
+        if not self.sigma_env_sq >= 1.0:
             raise InputError("sigma_env_sq must be at least 1 (vacuum)")
         if isinstance(self.phases, str):
             if self.phases != "auto":
                 raise InputError("phases must be 'auto' or an explicit tuple")
         elif len(self.phases) != len(self.mode_indices):
             raise InputError("need one phase per measured mode")
+        else:
+            require_finite(**{f"phase {k}": phi for k, phi in enumerate(self.phases)})
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ def sigma_env_from_thermal(n_thermal: float, eta: float) -> float:
     independent of the transmissivity; at eta = 1 the environment is
     irrelevant and the vacuum value is returned.
     """
+    require_finite(n_thermal=n_thermal)
+    if n_thermal < 0.0:
+        raise InputError("n_thermal must be nonnegative")
     if eta >= 1.0 or n_thermal == 0.0:
         return 1.0
     return 2.0 * n_thermal / (1.0 - eta) + 1.0
@@ -80,13 +86,15 @@ def sigma_env_from_thermal(n_thermal: float, eta: float) -> float:
 def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...]):
     """Per-mode (g, r) after checking each measured mode is an eigenmode.
 
-    If Gtilde e_n = g_n e_n, the imprint maps c_n to e^{-i lambda g_n} c_n,
-    so the outcomes of the measured modes depend on no other mode of the
-    product state, and unmeasured modes need no check.
+    Gtilde = ``metrology.build_workspace(d, gen.G)`` is the generator in
+    the probe's product basis. If Gtilde e_n = g_n e_n, the imprint maps
+    c_n to e^{-i lambda g_n} c_n, so the outcomes of the measured modes
+    depend on no other mode of the product state, and unmeasured modes
+    need no check.
     """
     if any(not 0 <= n < d.n_modes for n in modes):
         raise InputError(f"measured mode indices must lie in [0, {d.n_modes}), got {modes}")
-    gt = metrology.build_workspace(d, gen).Gtilde
+    gt = metrology.build_workspace(d, gen.G)
     scale = max(1.0, matkernel.max_norm(gen.G))
     for n in modes:
         col = np.abs(gt[:, n]).copy()
@@ -199,8 +207,8 @@ def direct_detection_fi(
     of the mean-removed probe. That identity is realized here by shifting
     the generator, G -> G - gbar P_S, and evaluating the exact QFI value
     alone, without the resources and bound of a :func:`metrology.qfi`
-    report. The shifted generator keeps G's eigenvectors: only the signal
-    eigenvalues move, by -gbar, so no second eigendecomposition is formed.
+    report. The shifted matrix goes through ``metrology.build_workspace``
+    as G does, so no eigendecomposition is formed.
 
     The phase-structure premise behind the identity is not checkable from
     (state, generator) alone; pass ``condition_verified=True`` after
@@ -215,15 +223,8 @@ def direct_detection_fi(
             ConditionNotVerifiedWarning,
             stacklevel=2,
         )
-    g_mean = metrology.resources(d, gen).g_mean
-    values = np.where(gen.idler_mask, gen.eig.eigvals, gen.eig.eigvals - g_mean)
-    order = np.argsort(values, kind="stable")
-    gen_shifted = Generator(
-        G=gen.G - g_mean * signal_projector(gen),
-        eig=matkernel.HermitianEig(eigvals=values[order], U=gen.eig.U[:, order]),
-        signal_tol=gen.signal_tol,
-    )
-    return metrology._qfi_value(d, metrology.build_workspace(d, gen_shifted))
+    shifted = gen.G - metrology.resources(d, gen).g_mean * signal_projector(gen)
+    return metrology._qfi_value(d, metrology.build_workspace(d, shifted))
 
 
 def counting_condition_check(

@@ -7,12 +7,13 @@ inequality, and asymptotic optimality coefficients fitted from a family
 of probes.
 
 All quantities are evaluated in the basis where the state is a product of
-single-mode displaced squeezed vacua; callers pass arbitrary states and
-the generator is conjugated internally. There the QFI, 4 Var(G), is the
-sum of two squared norms, 4 (||W||_F^2 / 2 + ||u||^2): W and u are the
-two- and one-quasiparticle amplitudes of (G - <G>) psi, so the value is
-non-negative by construction. The generator-intensity variance is
-likewise a sum of squares, of the mean-removed generator.
+single-mode displaced squeezed vacua; callers pass arbitrary states, and
+``build_workspace(d, g)`` returns a generator matrix g there, V^dag g V.
+There the QFI, 4 Var(G), is the sum of two squared norms,
+4 (||W||_F^2 / 2 + ||u||^2): W and u are the two- and one-quasiparticle
+amplitudes of (G - <G>) psi, so the value is non-negative by
+construction. The generator-intensity variance is likewise a sum of
+squares, of the mean-removed generator.
 """
 
 from __future__ import annotations
@@ -28,17 +29,6 @@ from .gaussian import DisentangledForm
 from .generator import Generator, signal_projector
 
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class QfiWorkspace:
-    """Generator and squeezing in the product basis.
-
-    Gtilde is the generator in the product basis; S holds sinh(r).
-    """
-
-    Gtilde: np.ndarray
-    S: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,16 +56,12 @@ class QfiReport:
     bound_satisfied: bool
 
 
-def _check_dims(d: DisentangledForm, gen: Generator) -> None:
-    if d.n_modes != gen.n_modes:
-        raise InputError(f"state has {d.n_modes} modes but generator has {gen.n_modes}")
-
-
-def build_workspace(d: DisentangledForm, gen: Generator) -> QfiWorkspace:
-    _check_dims(d, gen)
-    gt = d.V.conj().T @ gen.G @ d.V
-    gt = (gt + gt.conj().T) / 2.0
-    return QfiWorkspace(Gtilde=gt, S=np.sinh(d.r))
+def build_workspace(d: DisentangledForm, g: np.ndarray) -> np.ndarray:
+    """Generator matrix g in the probe's product basis: V^dag g V, made Hermitian."""
+    if d.n_modes != g.shape[0]:
+        raise InputError(f"state has {d.n_modes} modes but generator has {g.shape[0]}")
+    gt = d.V.conj().T @ g @ d.V
+    return (gt + gt.conj().T) / 2.0
 
 
 def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
@@ -91,18 +77,18 @@ def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
     round-off of P, (M eps)^2, times the total photon number: such an N_S
     is the eigenvectors' error, not signal photons.
     """
-    ws = build_workspace(d, gen)
-    s2 = ws.S**2
+    gt = build_workspace(d, gen.G)
+    s2 = np.sinh(d.r) ** 2
     pt = d.V.conj().T @ signal_projector(gen) @ d.V
     n_signal = float(np.sum(np.sum(np.abs(pt) ** 2, axis=0) * s2) + np.sum(np.abs(pt @ d.alpha) ** 2))
     n_total = s2.sum() + np.vdot(d.alpha, d.alpha).real
     if n_signal <= (d.n_modes * _EPS) ** 2 * n_total:
         return ResourceTriple(n_signal=0.0, g_mean=0.0, g_var=0.0, well_defined=False)
     first = float(
-        np.real(np.sum(np.diag(ws.Gtilde).real * s2) + d.alpha.conj() @ ws.Gtilde @ d.alpha)
+        np.real(np.sum(np.diag(gt).real * s2) + d.alpha.conj() @ gt @ d.alpha)
     )
     g_mean = first / n_signal
-    h = ws.Gtilde - g_mean * pt
+    h = gt - g_mean * pt
     g_var = float(np.sum(np.sum(np.abs(h) ** 2, axis=0) * s2) + np.sum(np.abs(h @ d.alpha) ** 2))
     g_var /= n_signal
     return ResourceTriple(n_signal=n_signal, g_mean=g_mean, g_var=g_var)
@@ -127,18 +113,18 @@ def qfi_upper_bound_strict(d: DisentangledForm, gen: Generator) -> float:
     Equals (8 gbar^2 + 4 dg^2) N^2 + 12 (gbar^2 + dg^2) N - 4 Tr[Gt^2 S^2];
     for zero displacement it coincides with :func:`qfi_upper_bound`.
     """
-    ws = build_workspace(d, gen)
+    gt = build_workspace(d, gen.G)
     res = resources(d, gen)
     if not res.well_defined:
         return 0.0
-    tr_g2s2 = float(np.real(np.sum(np.sum(np.abs(ws.Gtilde) ** 2, axis=0) * ws.S**2)))
+    tr_g2s2 = float(np.real(np.sum(np.sum(np.abs(gt) ** 2, axis=0) * np.sinh(d.r) ** 2)))
     n, g2, d2 = res.n_signal, res.g_mean**2, res.g_var
     return (8.0 * g2 + 4.0 * d2) * n**2 + 12.0 * (g2 + d2) * n - 4.0 * tr_g2s2
 
 
-def _qfi_value(d: DisentangledForm, ws: QfiWorkspace) -> float:
-    """The QFI sum of :func:`qfi`, from a workspace of the probe."""
-    gt, r = ws.Gtilde, d.r
+def _qfi_value(d: DisentangledForm, gt: np.ndarray) -> float:
+    """The QFI sum of :func:`qfi`, from gt = :func:`build_workspace` (d, G)."""
+    r = d.r
     w = gt.real * np.sinh(r[:, None] + r) + 1j * gt.imag * np.sinh(r - r[:, None])
     g_alpha = gt @ d.alpha
     u = np.exp(r) * g_alpha.real + 1j * np.exp(-r) * g_alpha.imag
@@ -160,7 +146,7 @@ def qfi(d: DisentangledForm, gen: Generator) -> QfiReport:
     rotation gives exactly zero at any r. The report also carries the
     resource triple and the bound check.
     """
-    value = _qfi_value(d, build_workspace(d, gen))
+    value = _qfi_value(d, build_workspace(d, gen.G))
     res = resources(d, gen)
     bound = qfi_upper_bound(res)
     satisfied = value <= bound + 1e-9 * max(1.0, bound)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .errors import InputError
+from .errors import InputError, require_finite
 from .gaussian import DisentangledForm
 from .generator import Generator
 
@@ -47,10 +47,13 @@ class ProbeSpec:
     def __post_init__(self):
         if self.kind not in PROBE_KINDS:
             raise InputError(f"kind must be one of {PROBE_KINDS}, got {self.kind!r}")
+        require_finite(n_signal=self.n_signal, target_gmean=self.target_gmean, target_gvar=self.target_gvar)
         if not self.n_signal > 0:
             raise InputError("n_signal must be positive")
         if self.target_gvar < 0:
             raise InputError("target_gvar must be nonnegative")
+        if self.spectrum_tol != self.spectrum_tol:  # NaN; the default +inf is valid
+            raise InputError("spectrum_tol must not be NaN")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ measurement layers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class RegularizedModePair:
     r: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.center_z, *self.center_p, self.sigma_z, *self.theta, *self.r))):
+            raise InputError("centers, sigma_z, theta and r must be finite")
         if not self.sigma_z > 0:
             raise InputError("sigma_z must be positive")
         if min(self.r) < 0:

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measurement, metrology, optimal
-from .errors import ConditionNotVerifiedWarning, GaussmetError, InputError, RegularizationWarning
+from .errors import ConditionNotVerifiedWarning, GaussmetError, InputError, RegularizationWarning, require_finite
 from .gaussian import DisentangledForm
-from .generator import Generator, from_matrix
+from .generator import SHIFT_DOMAINS as SCENARIO_KINDS, Generator, _hg_ladder, from_matrix
 from .metrology import ResourceTriple
 from .regmodes import RegularizedModePair
-
-SCENARIO_KINDS = ("time_shift", "frequency_shift", "beam_displacement", "beam_tilt")
 
 # kinds whose generator is diagonal in the pair's p domain; the others
 # estimate shifts of the Fourier-dual variable
@@ -56,8 +54,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise InputError(f"kind must be one of {SCENARIO_KINDS}")
+        require_finite(n_signal=self.n_signal, physical_scale=self.physical_scale)
         if not self.n_signal > 0:
             raise InputError("n_signal must be positive")
+        for key, values in self.sweep.items():
+            if key not in ("n_signal", "eta") or not isinstance(values, (list, tuple)) or not values:
+                raise InputError(f"sweep takes non-empty lists n_signal and eta, got {key}: {values!r}")
+            require_finite(**{f"sweep {key} entry {k}": v for k, v in enumerate(values)})
 
 
 def mode_overlap(pair: RegularizedModePair) -> complex:
@@ -100,18 +103,14 @@ def schmidt_pair(r_plus: float, r_minus: float, overlap_mag: float) -> SchmidtPa
     return SchmidtPairResult(r1=float(r1), r2=float(r2), chi=float(chi), overlap=complex(overlap_mag))
 
 
-def _ladder_coupling(level: int, sigma_z: float) -> complex:
-    # coupling of Gaussian-family level `level` up to `level + 1`
-    return -1j * np.sqrt((level + 1) / 2.0) / (np.sqrt(2.0) * sigma_z)
-
-
 def build_regularized_probe(cfg: ScenarioConfig) -> tuple[DisentangledForm, Generator, ResourceTriple]:
     """Assemble the regularized two-mode probe and its truncated generator.
 
     Modes are ordered (Schmidt-0a, Schmidt-0b, plus-1, minus-1): the two
     populated Schmidt modes first, then the first higher Gaussian-family
-    level of each, which they couple to. The generator is the plain
-    two-family ladder g0 rotated by the Schmidt mixing angle chi on the
+    level of each, which they couple to. The generator is the two
+    families' Hermite-Gauss ladders (``generator._hg_ladder``), interleaved
+    as g0 and rotated by the Schmidt mixing angle chi on the
     populated pair: g = O g0 O^T, with O the rotation by chi on modes 0
     and 1 and the identity elsewhere. Estimating the dual-domain
     parameters (a frequency shift on a time-separated pair, a tilt on a
@@ -151,10 +150,9 @@ def build_regularized_probe(cfg: ScenarioConfig) -> tuple[DisentangledForm, Gene
         r_modes = (r_plus, r_minus)
 
     m = 2 * _HG_LEVELS
-    g = np.diag(np.tile(np.asarray(pair.center_p, dtype=complex), _HG_LEVELS))
-    for k in range(m - 2):
-        g[k + 2, k] = _ladder_coupling(k // 2, pair.sigma_z)
-        g[k, k + 2] = np.conj(g[k + 2, k])
+    g = np.zeros((m, m), dtype=complex)
+    for k in range(2):  # family k holds modes k, k + 2, ...
+        g[k::2, k::2] = _hg_ladder(pair.center_p[k], pair.sigma_z, _HG_LEVELS)
     rot = np.eye(m)
     rot[:2, :2] = [[np.cos(chi), -np.sin(chi)], [np.sin(chi), np.cos(chi)]]
     g = rot @ g @ rot.T

@@ -203,6 +203,12 @@ def test_verify_rejects_negative_seed(seed, capsys):
         ("homodyne", ["--samples", "10", "--seed", "-1"], 2),
         ("homodyne", ["--samples", "-1"], 2),
         ("homodyne", ["--samples", "10", "--seed", "x"], 2),
+        ("homodyne", ["--phases", "nan,nan"], 3),
+        ("homodyne", ["--eta", "0.5", "--nb", "nan"], 3),
+        ("homodyne", ["--lambda", "inf"], 3),
+        ("build-state", ["--kind", "optimal", "--ns", "2", "--dg", "inf"], 3),
+        ("build-state", ["--kind", "optimal", "--ns", "2", "--gbar", "nan", "--dg", "1"], 3),
+        ("build-state", ["--kind", "optimal", "--ns", "2", "--gbar", "2", "--dg", "1", "--spectrum-tol", "nan"], 3),
     ],
 )
 def test_bad_input_exit_code_without_traceback(fixture_paths, capsys, command, extra, code):
@@ -605,3 +611,98 @@ def test_build_state_optimal_falls_back_below_splitting_spread(tmp_path, capsys)
                       "--generator", gen_path, "--out", str(outs[dg])])
         assert rc == 0, capsys.readouterr().err
     assert outs["1e-9"].read_bytes() == outs["0"].read_bytes()
+
+
+def _overflow_files(tmp_path):
+    """A one-mode state at r = 400, where sinh r overflows, with G = [[1]]."""
+    (tmp_path / "r400.json").write_text(json.dumps({"n_modes": 1, "beta": [[0, 0]], "f": [[[400.0, 0]]]}))
+    (tmp_path / "g1.json").write_text(json.dumps({"G": [[[1.0, 0.0]]]}))
+    return ["--state", str(tmp_path / "r400.json"), "--generator", str(tmp_path / "g1.json")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["qfi", "homodyne"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_non_finite_report_exit_3(tmp_path, capsys, command, to_file):
+    # the QFI is inf and the homodyne FI NaN; JSON can carry neither
+    out = tmp_path / "never.json"
+    argv = [command, *_overflow_files(tmp_path)] + (["--out", str(out)] if to_file else [])
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the report holds") and "Traceback" not in captured.err
+    assert "which JSON cannot represent" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+_SCENARIO_PAIR = {"center_z": [0.0, 0.0], "center_p": [8.0, 2.0], "sigma_z": 1.0}
+
+# (config overrides, a fragment of the message)
+_BAD_SCENARIO_CONFIGS = {
+    "sweep-eta-string": ({"sweep": {"eta": "ab"}}, "sweep takes non-empty lists n_signal and eta, got eta: 'ab'"),
+    "sweep-eta-scalar": ({"sweep": {"eta": 5}}, "got eta: 5"),
+    "sweep-n-signal-string": ({"sweep": {"n_signal": ["x"]}}, "sweep n_signal entry 0 must be a finite number, got 'x'"),
+    "sweep-eta-null": ({"sweep": {"eta": [0.5, None]}}, "sweep eta entry 1 must be a finite number, got None"),
+    "sweep-unknown-key": ({"sweep": {"etas": [0.5]}}, "got etas: [0.5]"),
+    "sweep-n-signal-empty": ({"sweep": {"n_signal": []}}, "got n_signal: []"),
+    "pair-nan-center": (
+        {"pair": {**_SCENARIO_PAIR, "center_z": [float("nan"), 20.0]}},
+        "centers, sigma_z, theta and r must be finite",
+    ),
+    "infinite-scale": ({"physical_scale": float("inf")}, "physical_scale must be a finite number, got inf"),
+}
+
+
+@pytest.mark.parametrize("overrides, defect", list(_BAD_SCENARIO_CONFIGS.values()), ids=list(_BAD_SCENARIO_CONFIGS))
+def test_bad_scenario_config_exit_3(tmp_path, capsys, overrides, defect):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "never.csv"
+    cfg_path.write_text(json.dumps({"pair": _SCENARIO_PAIR, "n_signal": 8.0, **overrides}))
+    argv = ["scenario", "--kind", "time-shift", "--config", str(cfg_path), "--out", str(out)]
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert defect in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_prints_and_writes_strict_json(fixture_paths, capsys):
+    # every stdout and file is standard JSON: no NaN, Infinity or -Infinity
+    state_path, gen_path, tmp_path = fixture_paths
+    overflow = _overflow_files(tmp_path)
+    fixture = ["--state", state_path, "--generator", gen_path]
+    commands = [
+        ["qfi", *fixture],
+        ["homodyne", *fixture, "--lambda", "0.2"],
+        ["homodyne", *fixture, "--samples", "2000", "--seed", "3"],
+        ["homodyne", *fixture, "--phases", "0.1,0.7", "--eta", "0.6", "--nb", "0.5"],
+        ["qfi", *overflow],
+        ["homodyne", *overflow],
+        ["homodyne", *overflow, "--samples", "100"],
+    ]
+    for kind in ("optimal", "variance-optimal", "mean-optimal"):
+        out = str(tmp_path / f"built-{kind}.json")
+        commands.append(["build-state", "--kind", kind, "--ns", "2", "--gbar", "2", "--dg", "1",
+                         "--generator", gen_path, "--out", out])
+    for k, argv in enumerate(list(commands)):
+        if argv[0] != "build-state":
+            commands.append(argv + ["--out", str(tmp_path / f"report{k}.json"), "--full-precision"])
+    for argv in commands:
+        rc = cli.run(argv)
+        captured = capsys.readouterr()
+        # the r = 400 reports hold an overflow, so they exit 3 with no output
+        assert rc == (3 if overflow[1] in argv else 0), (argv, captured.err)
+        if captured.out:
+            _strict_json(captured.out)
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) > 10
+    for path in written:
+        _strict_json(path.read_text())

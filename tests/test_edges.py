@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import gaussmet
-from gaussmet import cli, focksim, generator, jsonio, matkernel, measurement, metrology, optimal, scenarios, verify
+from gaussmet import (
+    cli, focksim, generator, jsonio, matkernel, measurement, metrology, optimal, regmodes, scenarios, verify,
+)
 from gaussmet.errors import InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import DiscretizationGrid
@@ -87,6 +89,61 @@ def test_homodyne_setup_validation():
         HomodyneSetup(mode_indices=(0, 1), phases=(0.1,))
     with pytest.raises(ValueError):
         HomodyneSetup(mode_indices=(0,), phases="automatic")
+
+
+_NAN, _INF = float("nan"), float("inf")
+_PAIR = {"center_z": (0.0, 0.0), "center_p": (8.0, 2.0), "sigma_z": 1.0}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HomodyneSetup(mode_indices=(0,), sigma_env_sq=_NAN),
+        lambda: HomodyneSetup(mode_indices=(0,), sigma_env_sq=_INF),
+        lambda: HomodyneSetup(mode_indices=(0,), true_param=_NAN),
+        lambda: HomodyneSetup(mode_indices=(0,), phases=(_INF,)),
+        lambda: measurement.sigma_env_from_thermal(_INF, 0.5),
+        lambda: measurement.sigma_env_from_thermal(-0.5, 0.5),
+        lambda: measurement.sigma_env_from_thermal(_NAN, 1.0),
+        lambda: optimal.ProbeSpec(kind="optimal", n_signal=_INF),
+        lambda: optimal.ProbeSpec(kind="optimal", n_signal=2.0, target_gmean=-_INF),
+        lambda: optimal.ProbeSpec(kind="optimal", n_signal=2.0, target_gvar=_NAN),
+        lambda: optimal.ProbeSpec(kind="optimal", n_signal=2.0, spectrum_tol=_NAN),
+        lambda: regmodes.RegularizedModePair(**{**_PAIR, "sigma_z": _INF}),
+        lambda: regmodes.RegularizedModePair(**_PAIR, theta=(0.0, _NAN)),
+        lambda: regmodes.RegularizedModePair(**_PAIR, r=(_NAN, 1.0)),
+        lambda: regmodes.RegularizedModePair(**{**_PAIR, "center_p": (_INF, 2.0)}),
+        lambda: scenarios.ScenarioConfig("time_shift", regmodes.RegularizedModePair(**_PAIR), n_signal=_INF),
+        lambda: scenarios.ScenarioConfig(
+            "time_shift", regmodes.RegularizedModePair(**_PAIR), 8.0, sweep={"eta": ["0.5"]}
+        ),
+        lambda: scenarios.ScenarioConfig(
+            "time_shift", regmodes.RegularizedModePair(**_PAIR), 8.0, sweep={"n_signal": [2.0, _INF]}
+        ),
+    ],
+    ids=[
+        "env-nan", "env-inf", "lambda-nan", "phase-inf", "thermal-inf", "thermal-negative",
+        "thermal-nan-at-eta-1", "ns-inf", "gmean-inf", "gvar-nan", "spectrum-tol-nan",
+        "sigma-inf", "theta-nan", "r-nan", "center-p-inf", "scenario-ns-inf", "sweep-string",
+        "sweep-inf",
+    ],
+)
+def test_non_finite_scalars_rejected_where_they_enter(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_scenario_sweep_accepts_numpy_floats():
+    cfg = scenarios.ScenarioConfig(
+        "time_shift",
+        regmodes.RegularizedModePair(**_PAIR),
+        8.0,
+        sweep={"n_signal": [np.float64(4.0), 8], "eta": (np.float64(0.5), 1.0)},
+    )
+    rows = scenarios.run_scenario(cfg)
+    assert len(rows) == len(scenarios.TABLE_KINDS) * 2 * 2
+    # the spectrum tolerance defaults to +inf, which stays valid
+    assert optimal.ProbeSpec(kind="optimal", n_signal=2.0).spectrum_tol == np.inf
 
 
 def test_oracle_config_validation():
