@@ -34,6 +34,9 @@ _BUILD_KINDS = {
 
 _SCENARIO_KINDS = {k.replace("_", "-"): k for k in generator.SHIFT_DOMAINS}
 
+# jsonio.round_floats rejects every non-finite report value, so numpy's warnings would only repeat it
+_finite_checked = np.errstate(over="ignore", invalid="ignore")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 2 without killing the caller
@@ -117,7 +120,7 @@ def _build_parser() -> _Parser:
     p_scn.add_argument("--full-precision", action="store_true")
 
     p_ver = sub.add_parser("verify", help="randomized verification suites")
-    p_ver.add_argument("--suite", default="all", choices=["bound", "oracle", "lemma2", "all"])
+    p_ver.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--trials", type=_int_at_least(1), default=200)
     p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
     return parser
@@ -134,14 +137,21 @@ def _emit(rounded: dict, out_path: str | None) -> None:
         print(jsonio.format_json(rounded))
 
 
-def _cmd_qfi(args) -> int:
+def _read_probe(args):
+    """The disentangled ``--state`` and the ``--generator``, read in that order."""
     state = jsonio.state_from_dict(jsonio.load_json(args.state))
     gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
-    report = metrology.qfi(disentangle(state), gen)
+    return disentangle(state), gen
+
+
+@_finite_checked
+def _cmd_qfi(args) -> int:
+    report = metrology.qfi(*_read_probe(args))
     _emit(jsonio.round_floats(dataclasses.asdict(report), _sig_digits(args)), args.out)
     return 0
 
 
+@_finite_checked
 def _cmd_build(args) -> int:
     gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
     angles = (args.angles + (0.0,))[:2] if args.angles else (0.0, 0.0)
@@ -168,10 +178,9 @@ def _cmd_build(args) -> int:
     return 0
 
 
+@_finite_checked
 def _cmd_homodyne(args) -> int:
-    state = jsonio.state_from_dict(jsonio.load_json(args.state))
-    gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
-    d = disentangle(state)
+    d, gen = _read_probe(args)
     modes = args.modes or tuple(int(k) for k in np.nonzero(d.r > 1e-12)[0])
     setup = measurement.HomodyneSetup(
         mode_indices=modes,
@@ -183,12 +192,10 @@ def _cmd_homodyne(args) -> int:
     result = measurement.homodyne_fi(d, gen, setup)
     payload = dataclasses.asdict(result)
     if args.samples > 0:
-        payload["empirical_fi"] = measurement.empirical_fi(
-            d, gen, setup, args.samples, args.seed
-        )
+        samples = measurement.sample_homodyne(d, gen, setup, args.samples, args.seed)
+        payload["empirical_fi"] = measurement._score_fi(result, samples)
     payload = jsonio.round_floats(payload, _sig_digits(args))
     if args.samples > 0 and args.samples_out:
-        samples = measurement.sample_homodyne(d, gen, setup, args.samples, args.seed)
         for k, row in enumerate(samples):
             csv = io.StringIO()
             np.savetxt(csv, row, fmt="%.12g")
@@ -246,10 +253,7 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except GaussmetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (GaussmetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

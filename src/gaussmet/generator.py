@@ -17,14 +17,14 @@ import numpy as np
 from . import matkernel
 from .errors import InputError
 
-SHIFT_DOMAINS = ("time_shift", "frequency_shift", "beam_displacement", "beam_tilt")
-
 _DIAGONAL_BASIS = {
     "time_shift": "frequency_bins",
     "frequency_shift": "time_bins",
     "beam_displacement": "momentum_bins",
     "beam_tilt": "position_bins",
 }
+
+SHIFT_DOMAINS = tuple(_DIAGONAL_BASIS)
 
 DEFAULT_SIGNAL_TOL = 1e-12
 

@@ -28,8 +28,8 @@ import numpy as np
 from . import matkernel, metrology
 from .errors import ConditionNotVerifiedWarning, InputError, require_finite
 from .gaussian import DisentangledForm
-from .generator import DiscretizationGrid, Generator, signal_projector
-from .regmodes import RegularizedModePair, reg_mode_function
+from .generator import DiscretizationGrid, Generator, HGParams, hg_mode, signal_projector
+from .regmodes import RegularizedModePair
 
 _DIAG_TOL = 1e-9
 _PHASE_AMP_FLOOR = 1e-12
@@ -186,12 +186,13 @@ def empirical_fi(
     FI_n / 2 times the sample mean of (x^2/v - 1)^2, with v and FI_n read
     from :func:`homodyne_fi`.
     """
-    base = homodyne_fi(d, gen, setup)
-    samples = sample_homodyne(d, gen, setup, n_samples, seed)
-    total = 0.0
-    for fi_n, v, x in zip(base.per_mode_fi, base.variances, samples):
-        total += 0.5 * fi_n * float(np.mean((x**2 / v - 1.0) ** 2))
-    return total
+    return _score_fi(homodyne_fi(d, gen, setup), sample_homodyne(d, gen, setup, n_samples, seed))
+
+
+def _score_fi(base: HomodyneResult, samples: np.ndarray) -> float:
+    """The :func:`empirical_fi` estimate from samples drawn at the setup of ``base``."""
+    modes = zip(base.per_mode_fi, base.variances, samples)
+    return sum((0.5 * fi_n * float(np.mean((x**2 / v - 1.0) ** 2)) for fi_n, v, x in modes), 0.0)
 
 
 def direct_detection_fi(
@@ -254,7 +255,7 @@ def counting_condition_check(
         g0 = np.zeros((z.size, z.size), dtype=complex)
         dg = np.zeros_like(g0)
         for k in range(2):
-            m = reg_mode_function(z + a, pair.center_z[k], p[k], pair.sigma_z, pair.theta[k])
+            m = hg_mode(0, z + a, HGParams(pair.center_z[k], p[k], pair.sigma_z, pair.theta[k]))
             prod = 0.5 * t[k] * np.outer(m, m)
             w = (z + a - pair.center_z[k]) / (2.0 * pair.sigma_z**2) + 1j * p[k]
             g0 += prod

@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
 
 
@@ -15,9 +13,10 @@ from .errors import InputError
 class RegularizedModePair:
     """Two narrow Gaussian modes standing in for delta-function eigenmodes.
 
-    Each mode is a lowest-order Gaussian centered at ``center_z[k]`` with
-    carrier ``center_p[k]``, common width ``sigma_z`` and phase
-    ``theta[k]``; ``r`` holds the two squeezing strengths (plus, minus).
+    Each mode is the lowest Hermite-Gauss mode (``generator.hg_mode(0, ...)``)
+    centered at ``center_z[k]`` with carrier ``center_p[k]``, common width
+    ``sigma_z`` and phase ``theta[k]``; ``r`` holds the two squeezing
+    strengths (plus, minus).
     """
 
     center_z: tuple[float, float]
@@ -34,13 +33,3 @@ class RegularizedModePair:
         if min(self.r) < 0:
             raise InputError("squeezing strengths must be nonnegative")
 
-
-def reg_mode_function(
-    z: np.ndarray, center_z: float, center_p: float, sigma_z: float, theta: float
-) -> np.ndarray:
-    """Normalized lowest-order Gaussian mode with carrier and phase."""
-    z = np.asarray(z, dtype=float)
-    envelope = (1.0 / (2.0 * np.pi * sigma_z**2)) ** 0.25 * np.exp(
-        -((z - center_z) ** 2) / (4.0 * sigma_z**2)
-    )
-    return envelope * np.exp(-1j * center_p * (z - center_z)) * np.exp(-1j * theta)

@@ -11,7 +11,7 @@ runner that tabulates probe families at fixed resources.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,21 +112,10 @@ def build_regularized_probe(cfg: ScenarioConfig) -> tuple[DisentangledForm, Gene
     families' Hermite-Gauss ladders (``generator._hg_ladder``), interleaved
     as g0 and rotated by the Schmidt mixing angle chi on the
     populated pair: g = O g0 O^T, with O the rotation by chi on modes 0
-    and 1 and the identity elsewhere. Estimating the dual-domain
-    parameters (a frequency shift on a time-separated pair, a tilt on a
-    position-separated pair) swaps the roles of the pair's z and p
-    parameters.
+    and 1 and the identity elsewhere. The pair is read as the kind's
+    generator sees it (:func:`_generator_frame`).
     """
-    pair = cfg.pair
-    if cfg.kind not in _P_DOMAIN_KINDS:
-        # dual-domain estimation: exchange center/width roles
-        pair = RegularizedModePair(
-            center_z=pair.center_p,
-            center_p=pair.center_z,
-            sigma_z=1.0 / (2.0 * pair.sigma_z),
-            theta=pair.theta,
-            r=pair.r,
-        )
+    pair, _ = _generator_frame(cfg)
     overlap = mode_overlap(pair)
     s_mag = abs(overlap)
     if s_mag >= _WARN_OVERLAP:
@@ -191,13 +180,23 @@ def hg_product_qfi(
     return float(mean_part + spread_part)
 
 
-def _scenario_targets(cfg: ScenarioConfig) -> tuple[float, float]:
-    """(gbar, dg) resource targets of the regularized pair for this kind."""
+def _generator_frame(cfg: ScenarioConfig) -> tuple[RegularizedModePair, float]:
+    """The pair as the kind's generator sees it, and its width in the generator's domain.
+
+    Dual-domain kinds (a frequency shift on a time-separated pair, a tilt on a
+    position-separated pair) swap the roles of z and p; their width is ``sigma_z``.
+    """
     pair = cfg.pair
     if cfg.kind in _P_DOMAIN_KINDS:
-        centers, width = pair.center_p, 1.0 / (2.0 * pair.sigma_z)
-    else:
-        centers, width = pair.center_z, pair.sigma_z
+        return pair, 1.0 / (2.0 * pair.sigma_z)
+    swapped = replace(pair, center_z=pair.center_p, center_p=pair.center_z, sigma_z=1.0 / (2.0 * pair.sigma_z))
+    return swapped, pair.sigma_z
+
+
+def _scenario_targets(cfg: ScenarioConfig) -> tuple[float, float]:
+    """(gbar, dg) resource targets of the regularized pair for this kind."""
+    pair, width = _generator_frame(cfg)
+    centers = pair.center_p
     gbar = 0.5 * (centers[0] + centers[1]) * cfg.physical_scale
     delta = 0.5 * abs(centers[0] - centers[1]) * cfg.physical_scale
     dg = np.hypot(delta, width * cfg.physical_scale)
@@ -255,12 +254,9 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
         for n_signal in ns_values:
             state, gen = table_probe(kind, float(n_signal), gbar, dg)
             report = metrology.qfi(state, gen)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", category=ConditionNotVerifiedWarning)
-                    direct = measurement.direct_detection_fi(state, gen)
-            except GaussmetError:
-                direct = float("nan")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", category=ConditionNotVerifiedWarning)
+                direct = measurement.direct_detection_fi(state, gen)
             modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])
             for eta in etas:
                 hom = float("nan")

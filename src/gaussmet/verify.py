@@ -17,8 +17,6 @@ from .errors import InputError, TailTooLargeError
 from .gaussian import DisentangledForm
 from .generator import Generator, from_matrix
 
-SUITES = ("bound", "oracle", "lemma2")
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -38,6 +36,13 @@ def _require_run(trials: int, seed: int) -> None:
         raise InputError(f"trial count must be at least 1, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+
+
+def _least(name: str, trials: int, values: list[float], what: str, seed: int) -> SuiteReport:
+    """Report of a suite that passes when every value is at least -1e-9."""
+    k = int(np.argmin(values))  # the first trial attaining the minimum
+    summary = f"min {what} {values[k]:.3e} (requirement >= -1e-9){_at(k, seed)}"
+    return SuiteReport(name=name, trials=trials, passed=values[k] >= -1e-9, summary=summary)
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -70,13 +75,7 @@ def suite_bound(trials: int, seed: int) -> SuiteReport:
         report = metrology.qfi(d, gen)
         scale = max(1.0, report.bound)
         margins.append((report.bound - report.qfi) / scale)
-    k = int(np.argmin(margins))  # the first trial attaining the minimum
-    return SuiteReport(
-        name="bound",
-        trials=trials,
-        passed=margins[k] >= -1e-9,
-        summary=f"min relative bound margin {margins[k]:.3e} (requirement >= -1e-9){_at(k, seed)}",
-    )
+    return _least("bound", trials, margins, "relative bound margin", seed)
 
 
 def _oracle_cutoff(m: int) -> int:
@@ -147,15 +146,12 @@ def suite_lemma2(trials: int, seed: int) -> SuiteReport:
         gap = metrology.lemma2_gap(h, q)
         scale = max(1.0, abs(gap))
         gaps.append(gap / scale)
-    k = int(np.argmin(gaps))
-    return SuiteReport(
-        name="lemma2",
-        trials=trials,
-        passed=gaps[k] >= -1e-9,
-        summary=f"min gap {gaps[k]:.3e} (requirement >= -1e-9){_at(k, seed)}",
-    )
+    return _least("lemma2", trials, gaps, "gap", seed)
 
 
 def run_suites(names: list[str], trials: int, seed: int) -> list[SuiteReport]:
-    runners = {"bound": suite_bound, "oracle": suite_oracle, "lemma2": suite_lemma2}
-    return [runners[name](trials, seed) for name in names]
+    return [SUITES[name](trials, seed) for name in names]
+
+
+# name -> suite function, in run order; each suite reports under its function's name
+SUITES = {suite.__name__.removeprefix("suite_"): suite for suite in (suite_bound, suite_oracle, suite_lemma2)}

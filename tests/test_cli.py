@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from gaussmet import cli, jsonio, verify
+from gaussmet import cli, jsonio, measurement, verify
+from gaussmet.gaussian import disentangle
 
 _HUGE = "1" + "0" * 400  # an integer too large for a float
 
@@ -116,6 +117,35 @@ def test_homodyne_with_samples_and_csv(fixture_paths, capsys, tmp_path):
     for mode in (0, 1):
         data = np.loadtxt(f"{prefix}_mode{mode}.csv")
         assert data.shape == (20000,)
+
+
+def test_homodyne_draws_samples_once(fixture_paths, capsys, tmp_path, monkeypatch):
+    # the empirical FI and the --samples-out CSVs come from one draw and one
+    # report evaluation; the draw itself evaluates homodyne_fi once more
+    state_path, gen_path, _ = fixture_paths
+    calls = {"homodyne_fi": 0, "sample_homodyne": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(measurement, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, name, counted)
+    prefix = str(tmp_path / "draw")
+    rc = cli.run(["homodyne", "--state", state_path, "--generator", gen_path,
+                  "--samples", "3000", "--seed", "4", "--samples-out", prefix])
+    assert rc == 0, capsys.readouterr().err
+    assert calls == {"homodyne_fi": 2, "sample_homodyne": 1}
+    monkeypatch.undo()
+    payload = json.loads(capsys.readouterr().out)
+    d = disentangle(jsonio.state_from_dict(jsonio.load_json(state_path)))
+    gen = jsonio.generator_from_dict(jsonio.load_json(gen_path))
+    setup = measurement.HomodyneSetup(mode_indices=(0, 1))
+    expected = measurement.empirical_fi(d, gen, setup, 3000, 4)
+    assert payload["empirical_fi"] == jsonio.round_floats(expected, 12)
+    rows = measurement.sample_homodyne(d, gen, setup, 3000, 4)
+    for mode, row in enumerate(rows):
+        text = (tmp_path / f"draw_mode{mode}.csv").read_text()
+        assert text == "".join("%.12g\n" % x for x in row)
 
 
 def test_homodyne_writes_finite_fi_at_high_squeezing(tmp_path, capsys):
@@ -620,7 +650,6 @@ def _overflow_files(tmp_path):
     return ["--state", str(tmp_path / "r400.json"), "--generator", str(tmp_path / "g1.json")]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["qfi", "homodyne"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
 def test_non_finite_report_exit_3(tmp_path, capsys, command, to_file):

@@ -6,8 +6,8 @@ import pytest
 from gaussmet import measurement, metrology, scenarios
 from gaussmet.errors import InputError, RegularizationWarning
 from gaussmet.gaussian import DisentangledForm
-from gaussmet.generator import HGParams, hg_generator
-from gaussmet.regmodes import RegularizedModePair, reg_mode_function
+from gaussmet.generator import HGParams, hg_generator, hg_mode
+from gaussmet.regmodes import RegularizedModePair
 from gaussmet.scenarios import ScenarioConfig
 
 
@@ -50,7 +50,7 @@ def test_overlap_closed_form_matches_trapezoid_integral():
         )
         z = np.linspace(min(pair.center_z) - 12.0 * sigma, max(pair.center_z) + 12.0 * sigma, 40001)
         modes = [
-            reg_mode_function(z, pair.center_z[k], pair.center_p[k], sigma, pair.theta[k])
+            hg_mode(0, z, HGParams(pair.center_z[k], pair.center_p[k], sigma, pair.theta[k]))
             for k in (0, 1)
         ]
         numeric = np.trapezoid(np.conj(modes[0]) * modes[1], z)
