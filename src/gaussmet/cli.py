@@ -59,18 +59,20 @@ def _int_at_least(minimum: int):
     return integer
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+def _numbers(kind, noun: str):
+    """argparse type: a comma-separated list of ``kind`` values."""
+
+    def numbers(text: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
+
+    return numbers
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+_floats = _numbers(float, "numbers")
+_ints = _numbers(int, "integers")
 
 
 def _phases(text: str) -> tuple[float, ...] | str:
@@ -86,6 +88,7 @@ def _build_parser() -> _Parser:
     p_qfi.add_argument("--generator", required=True)
     p_qfi.add_argument("--out")
     p_qfi.add_argument("--full-precision", action="store_true")
+    p_qfi.set_defaults(handler=_cmd_qfi)
 
     p_build = sub.add_parser("build-state", help="construct a named probe state")
     p_build.add_argument("--kind", required=True, choices=sorted(_BUILD_KINDS))
@@ -98,6 +101,7 @@ def _build_parser() -> _Parser:
     p_build.add_argument("--modes", type=_ints, default=None, help="explicit mode indices")
     p_build.add_argument("--spectrum-tol", type=float, default=None)
     p_build.add_argument("--full-precision", action="store_true")
+    p_build.set_defaults(handler=_cmd_build)
 
     p_hom = sub.add_parser("homodyne", help="homodyne Fisher information")
     p_hom.add_argument("--state", required=True)
@@ -112,17 +116,20 @@ def _build_parser() -> _Parser:
     p_hom.add_argument("--samples-out", default=None, help="CSV path prefix, one file per mode")
     p_hom.add_argument("--out")
     p_hom.add_argument("--full-precision", action="store_true")
+    p_hom.set_defaults(handler=_cmd_homodyne)
 
     p_scn = sub.add_parser("scenario", help="probe-family sweep table")
     p_scn.add_argument("--kind", required=True, choices=sorted(_SCENARIO_KINDS))
     p_scn.add_argument("--config", required=True)
     p_scn.add_argument("--out", required=True)
     p_scn.add_argument("--full-precision", action="store_true")
+    p_scn.set_defaults(handler=_cmd_scenario)
 
     p_ver = sub.add_parser("verify", help="randomized verification suites")
     p_ver.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--trials", type=_int_at_least(1), default=200)
     p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_ver.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -172,14 +179,15 @@ def _cmd_build(args) -> int:
         "predicted_qfi": result.predicted_qfi,
     }
     summary = jsonio.round_floats(summary, _sig_digits(args))  # raises before any file is written
-    state_dict = jsonio.state_to_dict(assemble(result.state, basis_label=gen.basis_label))
-    jsonio.dump_json(state_dict, args.out)
+    jsonio.dump_json(jsonio.state_to_dict(assemble(result.state)), args.out)
     print(jsonio.format_json(summary))
     return 0
 
 
 @_finite_checked
 def _cmd_homodyne(args) -> int:
+    if args.samples_out and not args.samples:
+        raise _UsageError("argument --samples-out: needs --samples of at least 1")
     d, gen = _read_probe(args)
     modes = args.modes or tuple(int(k) for k in np.nonzero(d.r > 1e-12)[0])
     setup = measurement.HomodyneSetup(
@@ -194,33 +202,24 @@ def _cmd_homodyne(args) -> int:
     if args.samples > 0:
         samples = measurement.sample_homodyne(d, gen, setup, args.samples, args.seed)
         payload["empirical_fi"] = measurement._score_fi(result, samples)
-    payload = jsonio.round_floats(payload, _sig_digits(args))
-    if args.samples > 0 and args.samples_out:
+    sig = _sig_digits(args)
+    payload = jsonio.round_floats(payload, sig)
+    if args.samples_out:
         for k, row in enumerate(samples):
             csv = io.StringIO()
-            np.savetxt(csv, row, fmt="%.12g")
+            np.savetxt(csv, row, fmt=f"%.{sig}g")
             jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", csv.getvalue())
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_scenario(args) -> int:
-    cfg = jsonio.scenario_config_from_dict(
-        jsonio.load_json(args.config), kind=_SCENARIO_KINDS[args.kind]
-    )
+    cfg = jsonio.scenario_config_from_dict(jsonio.load_json(args.config), _SCENARIO_KINDS[args.kind])
     rows = scenarios.run_scenario(cfg)
     sig = _sig_digits(args)
-    columns = [
-        "probe_kind", "n_signal", "g_mean", "g_sd", "eta",
-        "qfi", "bound", "homodyne_fi", "direct_fi",
-    ]
-    lines = [",".join(columns)]
+    lines = [",".join(rows[0])]  # run_scenario's keys name the columns
     for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            cells.append(value if isinstance(value, str) else f"{value:.{sig}g}")
-        lines.append(",".join(cells))
+        lines.append(",".join(v if isinstance(v, str) else f"{v:.{sig}g}" for v in row.values()))
     jsonio._write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -238,21 +237,12 @@ def _cmd_verify(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    handlers = {
-        "qfi": _cmd_qfi,
-        "build-state": _cmd_build,
-        "homodyne": _cmd_homodyne,
-        "scenario": _cmd_scenario,
-        "verify": _cmd_verify,
-    }
-    try:
-        return handlers[args.command](args)
     except (GaussmetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -57,6 +57,8 @@ class DisentangledForm:
         r = np.asarray(self.r, dtype=float)
         if alpha.shape != (m,) or r.shape != (m,):
             raise InputError("alpha and r must have length n_modes")
+        if not np.isfinite(r).all():
+            raise InputError("r contains NaN or infinite entries")
         if np.any(r < -1e-12):
             raise InputError("squeezing magnitudes must be nonnegative")
         object.__setattr__(self, "V", v)
@@ -79,8 +81,8 @@ def disentangle(state: GaussianPureState) -> DisentangledForm:
     return DisentangledForm(V=tak.V, alpha=alpha, r=tak.r)
 
 
-def assemble(d: DisentangledForm, basis_label: str = "a") -> GaussianPureState:
+def assemble(d: DisentangledForm) -> GaussianPureState:
     """Inverse of :func:`disentangle`: rebuild (beta, f) from the factors."""
     f = d.V @ np.diag(d.r).astype(complex) @ d.V.T
     beta = d.V @ d.alpha
-    return GaussianPureState(n_modes=d.n_modes, beta=beta, f=f, basis_label=basis_label)
+    return GaussianPureState(n_modes=d.n_modes, beta=beta, f=f)

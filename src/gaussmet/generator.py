@@ -127,11 +127,7 @@ def shift_generator(grid: DiscretizationGrid, domain: str, physical_scale: float
     if domain not in SHIFT_DOMAINS:
         raise InputError(f"domain must be one of {SHIFT_DOMAINS}, got {domain!r}")
     values = physical_scale * grid.z_values
-    return from_matrix(
-        np.diag(values.astype(complex)),
-        basis_label=_DIAGONAL_BASIS[domain],
-        meta={"domain": domain, "physical_scale": physical_scale},
-    )
+    return from_matrix(np.diag(values.astype(complex)), basis_label=_DIAGONAL_BASIS[domain])
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,7 @@ def hg_generator(hg: HGParams, n_modes: int) -> Generator:
     return from_matrix(
         _hg_ladder(hg.center_p, hg.sigma_z, n_modes),
         basis_label="hermite_gauss",
-        meta={"dropped_coupling": dropped, "hg_params": hg},
+        meta={"dropped_coupling": dropped},
     )
 
 
@@ -219,8 +215,4 @@ def generator_from_modes(
             raw[n, m] = 1j * np.trapezoid(np.conj(modes0[n]) * dmodes[m], z)
     herm = (raw + raw.conj().T) / 2.0
     residual = matkernel.max_norm(raw - raw.conj().T) / 2.0
-    return from_matrix(
-        herm,
-        basis_label="mode_family",
-        meta={"anti_hermitian_residual": residual, "gram_deviation": gram_dev},
-    )
+    return from_matrix(herm, basis_label="mode_family", meta={"anti_hermitian_residual": residual})

@@ -111,10 +111,10 @@ def pair_from_dict(obj: dict) -> RegularizedModePair:
         raise InputError(f"invalid mode pair: {exc}") from exc
 
 
-def scenario_config_from_dict(obj: dict, kind: str | None = None) -> ScenarioConfig:
+def scenario_config_from_dict(obj: dict, kind: str) -> ScenarioConfig:
     try:
         return ScenarioConfig(
-            kind=kind or str(obj["kind"]),
+            kind=kind,
             pair=pair_from_dict(obj["pair"]),
             n_signal=float(obj["n_signal"]),
             physical_scale=float(obj.get("physical_scale", 1.0)),

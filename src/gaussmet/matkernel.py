@@ -30,24 +30,25 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _require_self_transpose(a: np.ndarray, name: str, conj: bool) -> np.ndarray:
+    """``a`` averaged with its transpose (conjugated if ``conj``), after
+    checking that it is square and within DEFAULT_TOL of that transpose."""
     a = require_finite(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
-    dev = max_norm(a - a.conj().T)
+    at = a.conj().T if conj else a.T
+    dev = max_norm(a - at)
     if dev > DEFAULT_TOL * max(1.0, max_norm(a)):
-        raise InputError(f"{name} deviates from Hermitian by {dev:.3e}")
-    return (a + a.conj().T) / 2.0
+        raise InputError(f"{name} deviates from {'Hermitian' if conj else 'symmetric'} by {dev:.3e}")
+    return (a + at) / 2.0
+
+
+def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    return _require_self_transpose(a, name, conj=True)
 
 
 def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = require_finite(a, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"{name} must be square, got shape {a.shape}")
-    dev = max_norm(a - a.T)
-    if dev > DEFAULT_TOL * max(1.0, max_norm(a)):
-        raise InputError(f"{name} deviates from symmetric by {dev:.3e}")
-    return (a + a.T) / 2.0
+    return _require_self_transpose(a, name, conj=False)
 
 
 def _require_unitary(v: np.ndarray, name: str) -> None:

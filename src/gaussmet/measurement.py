@@ -32,6 +32,8 @@ from .generator import DiscretizationGrid, Generator, HGParams, hg_mode, signal_
 from .regmodes import RegularizedModePair
 
 _DIAG_TOL = 1e-9
+# relative r difference below which measured modes form one equal-squeezing cluster
+_EQUAL_R_TOL = 1e-12
 _PHASE_AMP_FLOOR = 1e-12
 
 
@@ -90,12 +92,28 @@ def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...])
     the probe's product basis. If Gtilde e_n = g_n e_n, the imprint maps
     c_n to e^{-i lambda g_n} c_n, so the outcomes of the measured modes
     depend on no other mode of the product state, and unmeasured modes
-    need no check.
+    need no check. A real rotation of modes with equal r leaves the state
+    unchanged, and ``disentangle`` picks an arbitrary one, so each such
+    cluster of measured modes that Gtilde couples is first turned, with
+    its displacements, to the eigenbasis of Re Gtilde on the cluster.
     """
     if any(not 0 <= n < d.n_modes for n in modes):
         raise InputError(f"measured mode indices must lie in [0, {d.n_modes}), got {modes}")
     gt = metrology.build_workspace(d, gen.G)
+    alpha = d.alpha.copy()
     scale = max(1.0, matkernel.max_norm(gen.G))
+    r_tol = _EQUAL_R_TOL * max(1.0, float(d.r.max()))
+    clusters: dict[int, list[int]] = {}  # first mode of each cluster -> its modes
+    for n in dict.fromkeys(modes):
+        first = next((k for k in clusters if abs(d.r[k] - d.r[n]) <= r_tol), n)
+        clusters.setdefault(first, []).append(n)
+    for c in (c for c in clusters.values() if len(c) > 1):
+        block = gt[np.ix_(c, c)]
+        if matkernel.max_norm(block - np.diag(np.diag(block))) > _DIAG_TOL * scale:
+            rot = np.linalg.eigh(block.real)[1]
+            gt[:, c] = gt[:, c] @ rot
+            gt[c, :] = rot.T @ gt[c, :]
+            alpha[c] = rot.T @ alpha[c]
     for n in modes:
         col = np.abs(gt[:, n]).copy()
         col[n] = 0.0
@@ -103,7 +121,7 @@ def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...])
             raise InputError(
                 f"state mode {n} is not a generator eigenmode (coupling {col.max():.3e})"
             )
-    if any(abs(d.alpha[n]) > 0 for n in modes):
+    if any(abs(alpha[n]) > 0 for n in modes):
         raise InputError(
             "homodyne formulas assume squeezed-vacuum modes; measured mode is displaced"
         )

@@ -107,21 +107,6 @@ def qfi_upper_bound(res: ResourceTriple) -> float:
     return (8.0 * g2 + 4.0 * d2) * n**2 + 8.0 * (g2 + d2) * n
 
 
-def qfi_upper_bound_strict(d: DisentangledForm, gen: Generator) -> float:
-    """Proven bound variant with the state-dependent linear term.
-
-    Equals (8 gbar^2 + 4 dg^2) N^2 + 12 (gbar^2 + dg^2) N - 4 Tr[Gt^2 S^2];
-    for zero displacement it coincides with :func:`qfi_upper_bound`.
-    """
-    gt = build_workspace(d, gen.G)
-    res = resources(d, gen)
-    if not res.well_defined:
-        return 0.0
-    tr_g2s2 = float(np.real(np.sum(np.sum(np.abs(gt) ** 2, axis=0) * np.sinh(d.r) ** 2)))
-    n, g2, d2 = res.n_signal, res.g_mean**2, res.g_var
-    return (8.0 * g2 + 4.0 * d2) * n**2 + 12.0 * (g2 + d2) * n - 4.0 * tr_g2s2
-
-
 def _qfi_value(d: DisentangledForm, gt: np.ndarray) -> float:
     """The QFI sum of :func:`qfi`, from gt = :func:`build_workspace` (d, G)."""
     r = d.r

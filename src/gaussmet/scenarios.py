@@ -40,7 +40,6 @@ class SchmidtPairResult:
     r1: float
     r2: float
     chi: float
-    overlap: complex
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def schmidt_pair(r_plus: float, r_minus: float, overlap_mag: float) -> SchmidtPa
         chi = 0.5 * np.arctan2(num, den)
         if chi < 0.0:
             chi += np.pi / 2.0
-    return SchmidtPairResult(r1=float(r1), r2=float(r2), chi=float(chi), overlap=complex(overlap_mag))
+    return SchmidtPairResult(r1=float(r1), r2=float(r2), chi=float(chi))
 
 
 def build_regularized_probe(cfg: ScenarioConfig) -> tuple[DisentangledForm, Generator, ResourceTriple]:
@@ -116,8 +115,7 @@ def build_regularized_probe(cfg: ScenarioConfig) -> tuple[DisentangledForm, Gene
     generator sees it (:func:`_generator_frame`).
     """
     pair, _ = _generator_frame(cfg)
-    overlap = mode_overlap(pair)
-    s_mag = abs(overlap)
+    s_mag = abs(mode_overlap(pair))
     if s_mag >= _WARN_OVERLAP:
         raise InputError(f"mode overlap {s_mag:.3e} too large for the regularized closed forms")
     if s_mag >= _CLEAN_OVERLAP:
@@ -145,11 +143,7 @@ def build_regularized_probe(cfg: ScenarioConfig) -> tuple[DisentangledForm, Gene
     rot = np.eye(m)
     rot[:2, :2] = [[np.cos(chi), -np.sin(chi)], [np.sin(chi), np.cos(chi)]]
     g = rot @ g @ rot.T
-    gen = from_matrix(
-        cfg.physical_scale * g,
-        basis_label="schmidt",
-        meta={"kind": cfg.kind, "overlap": overlap, "chi": chi},
-    )
+    gen = from_matrix(cfg.physical_scale * g, basis_label="schmidt")
     phases = np.tile(np.exp(-1j * np.asarray(pair.theta)), _HG_LEVELS)
     r_vec = np.zeros(m)
     r_vec[0], r_vec[1] = r_modes
@@ -185,11 +179,16 @@ def _generator_frame(cfg: ScenarioConfig) -> tuple[RegularizedModePair, float]:
 
     Dual-domain kinds (a frequency shift on a time-separated pair, a tilt on a
     position-separated pair) swap the roles of z and p; their width is ``sigma_z``.
+    Either way the p-width 1/(2 sigma_z) enters, so a ``sigma_z`` small enough
+    to overflow it raises InputError.
     """
     pair = cfg.pair
+    p_width = 1.0 / (2.0 * pair.sigma_z)
+    if p_width == np.inf:
+        raise InputError(f"sigma_z {pair.sigma_z:g} is too small: its p-width 1/(2 sigma_z) overflows")
     if cfg.kind in _P_DOMAIN_KINDS:
-        return pair, 1.0 / (2.0 * pair.sigma_z)
-    swapped = replace(pair, center_z=pair.center_p, center_p=pair.center_z, sigma_z=1.0 / (2.0 * pair.sigma_z))
+        return pair, p_width
+    swapped = replace(pair, center_z=pair.center_p, center_p=pair.center_z, sigma_z=p_width)
     return swapped, pair.sigma_z
 
 
@@ -213,8 +212,7 @@ def table_probe(kind: str, n_signal: float, gbar: float, dg: float):
     if kind == "derivative_displaced":
         gen = from_matrix(np.array([[gbar, 1j * dg], [-1j * dg, gbar]], dtype=complex))
         spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal)
-        return optimal.build_probe(spec, gen).state, gen
-    if kind in ("coherent", "mean_optimal"):
+    elif kind in ("coherent", "mean_optimal"):
         gen = from_matrix(np.diag([gbar - dg, gbar + dg]).astype(complex))
         if kind == "coherent":
             amp = np.sqrt(n_signal / 2.0)
@@ -224,13 +222,11 @@ def table_probe(kind: str, n_signal: float, gbar: float, dg: float):
         spec = optimal.ProbeSpec(
             kind=kind, n_signal=n_signal, mode_vector=np.array([1.0, 1.0], complex) / np.sqrt(2.0)
         )
-        return optimal.build_probe(spec, gen).state, gen
-    spec = optimal.ProbeSpec(
-        kind=kind, n_signal=n_signal, target_gmean=gbar, target_gvar=dg**2
-    )
-    if kind not in ("optimal", "variance_optimal"):
-        raise InputError(f"unknown probe family {kind!r}")
-    gen = from_matrix(np.diag(optimal._pair_split(spec)[2:]).astype(complex))
+    else:
+        spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal, target_gmean=gbar, target_gvar=dg**2)
+        if kind not in ("optimal", "variance_optimal"):
+            raise InputError(f"unknown probe family {kind!r}")
+        gen = from_matrix(np.diag(optimal._pair_split(spec)[2:]).astype(complex))
     return optimal.build_probe(spec, gen).state, gen
 
 

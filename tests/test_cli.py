@@ -119,6 +119,33 @@ def test_homodyne_with_samples_and_csv(fixture_paths, capsys, tmp_path):
         assert data.shape == (20000,)
 
 
+@pytest.mark.parametrize("extra", [[], ["--samples", "0"]], ids=["no-samples", "zero-samples"])
+def test_homodyne_samples_out_needs_samples(tmp_path, capsys, extra):
+    # a usage error, raised before the (missing) input files are read
+    missing = str(tmp_path / "missing.json")
+    argv = ["homodyne", "--state", missing, "--generator", missing, "--samples-out", str(tmp_path / "smp"), *extra]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "--samples" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_homodyne_samples_csv_full_precision(fixture_paths, capsys, tmp_path):
+    state_path, gen_path, _ = fixture_paths
+    prefix = str(tmp_path / "fp")
+    rc = cli.run(["homodyne", "--state", state_path, "--generator", gen_path,
+                  "--samples", "50", "--seed", "4", "--samples-out", prefix, "--full-precision"])
+    assert rc == 0, capsys.readouterr().err
+    d = disentangle(jsonio.state_from_dict(jsonio.load_json(state_path)))
+    gen = jsonio.generator_from_dict(jsonio.load_json(gen_path))
+    rows = measurement.sample_homodyne(d, gen, measurement.HomodyneSetup(mode_indices=(0, 1)), 50, 4)
+    for mode, row in enumerate(rows):
+        text = (tmp_path / f"fp_mode{mode}.csv").read_text()
+        assert text == "".join("%.17g\n" % x for x in row)
+        assert [float(x) for x in text.split()] == row.tolist()  # 17 digits read back exactly
+
+
 def test_homodyne_draws_samples_once(fixture_paths, capsys, tmp_path, monkeypatch):
     # the empirical FI and the --samples-out CSVs come from one draw and one
     # report evaluation; the draw itself evaluates homodyne_fi once more
@@ -612,7 +639,11 @@ def _random_dense_generator(tmp_path, m, seed):
     return str(path)
 
 
-@pytest.mark.parametrize("kind, m", [("mean-optimal", 3), ("mean-optimal", 5), ("optimal", 5)])
+@pytest.mark.parametrize(
+    "kind, m",
+    [("mean-optimal", 3), ("mean-optimal", 5), ("optimal", 5),
+     ("variance-optimal", 2), ("variance-optimal", 3), ("variance-optimal", 5)],
+)
 def test_homodyne_runs_on_built_state(tmp_path, capsys, kind, m):
     # disentangling the built state leaves r ~ 1e-17 in its empty modes,
     # in an arbitrary basis; homodyne measures and checks only the squeezed ones
@@ -691,6 +722,18 @@ def test_bad_scenario_config_exit_3(tmp_path, capsys, overrides, defect):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert defect in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["time-shift", "frequency-shift", "beam-displacement", "beam-tilt"])
+def test_scenario_tiny_sigma_z_exit_3(tmp_path, capsys, kind):
+    # 1/(2 sigma_z) overflows below about 2.8e-309; the message names sigma_z, not G
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "never.csv"
+    cfg_path.write_text(json.dumps({"pair": {**_SCENARIO_PAIR, "sigma_z": 1e-310}, "n_signal": 8.0}))
+    assert cli.run(["scenario", "--kind", kind, "--config", str(cfg_path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sigma_z") and "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 

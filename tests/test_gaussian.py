@@ -89,6 +89,12 @@ def test_disentangled_form_rejects_bad_input():
         gaussian.DisentangledForm(V=np.eye(2), alpha=np.zeros(2), r=np.array([0.3, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_disentangled_form_rejects_non_finite_squeezing(bad):
+    with pytest.raises(InputError, match="r contains NaN or infinite entries"):
+        gaussian.DisentangledForm(V=np.eye(2), alpha=np.zeros(2), r=np.array([0.3, bad]))
+
+
 def test_json_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n_modes": 2, "beta": [[0, 0]], "f": []}')

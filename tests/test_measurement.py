@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gaussmet import generator, matkernel, measurement, metrology, optimal
 from gaussmet.errors import ConditionNotVerifiedWarning, InputError
-from gaussmet.gaussian import DisentangledForm
+from gaussmet.gaussian import DisentangledForm, assemble, disentangle
 from gaussmet.generator import DiscretizationGrid
 from gaussmet.measurement import HomodyneSetup
 from gaussmet.regmodes import RegularizedModePair
@@ -53,6 +53,22 @@ def test_homodyne_requires_eigenbasis():
     d = DisentangledForm(V=v, alpha=np.zeros(2, complex), r=np.array([0.5, 0.0]))
     with pytest.raises(InputError, match="not a generator eigenmode"):
         _variance(d, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_homodyne_reaches_qfi_on_round_tripped_equal_squeezing(m):
+    # disentangle returns an arbitrary real rotation inside each equal-r
+    # cluster; homodyne turns it back to the generator's eigenmodes
+    rng = np.random.default_rng(40 + m)
+    w = random_unitary(rng, m + 2)
+    g = np.concatenate([rng.uniform(-2.0, 2.0, m), [0.0, 0.0]])  # m signal modes, two idlers
+    gen = generator.from_matrix((w * g) @ w.conj().T)
+    for kind, gbar in [("variance_optimal", 0.4), ("optimal", 0.0), ("idler_assisted", 0.4), ("idler_assisted", 0.0)]:
+        spec = optimal.ProbeSpec(kind=kind, n_signal=3.0, target_gmean=gbar, target_gvar=0.5)
+        d = disentangle(assemble(optimal.build_probe(spec, gen).state))
+        modes = tuple(int(k) for k in np.nonzero(d.r > 1e-12)[0])
+        fi = measurement.homodyne_fi(d, gen, HomodyneSetup(mode_indices=modes)).fi
+        assert fi == pytest.approx(metrology.qfi(d, gen).qfi, rel=1e-9)
 
 
 def test_homodyne_fi_matches_qfi_ideal():

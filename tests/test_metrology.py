@@ -297,19 +297,6 @@ def test_zero_displacement_tight_bound():
         )
         rep = metrology.qfi(d, gen)
         assert rep.qfi <= rep.bound + 1e-9 * max(1.0, rep.bound)
-        strict = metrology.qfi_upper_bound_strict(d, gen)
-        assert abs(strict - rep.bound) <= 1e-9 * max(1.0, rep.bound)
-
-
-def test_strict_bound_dominates_displaced():
-    rng = np.random.default_rng(56)
-    for _ in range(100):
-        m = int(rng.integers(1, 9))
-        gen = generator.from_matrix(random_hermitian(rng, m))
-        d = random_state(rng, m)
-        rep = metrology.qfi(d, gen)
-        strict = metrology.qfi_upper_bound_strict(d, gen)
-        assert rep.qfi <= strict + 1e-9 * max(1.0, strict)
 
 
 def test_lemma2_equality_case():
@@ -380,26 +367,3 @@ def test_optimality_coefficients_requires_usable_targets():
     targets = ResourceTriple(n_signal=10.0, g_mean=0.0, g_var=1.0)
     with pytest.raises(InputError, match="nonzero mean and variance"):
         metrology.optimality_coefficients(_builder("optimal"), targets)
-
-
-def test_strict_bound_formula_identity():
-    rng = np.random.default_rng(72)
-    for _ in range(20):
-        m = int(rng.integers(1, 7))
-        gen = generator.from_matrix(random_hermitian(rng, m))
-        d = random_state(rng, m)
-        res = metrology.resources(d, gen)
-        if not res.well_defined:
-            continue
-        gt = metrology.build_workspace(d, gen.G)
-        tr_g2s2 = float(
-            np.real(np.trace(gt @ np.diag(np.sinh(d.r) ** 2).astype(complex) @ gt))
-        )
-        manual = (
-            (8.0 * res.g_mean**2 + 4.0 * res.g_var) * res.n_signal**2
-            + 12.0 * (res.g_mean**2 + res.g_var) * res.n_signal
-            - 4.0 * tr_g2s2
-        )
-        assert metrology.qfi_upper_bound_strict(d, gen) == pytest.approx(
-            manual, rel=1e-10
-        )
