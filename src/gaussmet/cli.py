@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import re
 import sys
 
 import numpy as np
@@ -39,6 +40,12 @@ _finite_checked = np.errstate(over="ignore", invalid="ignore")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # subparsers are _Parser too
+        super().__init__(*args, **kwargs)
+        # argparse's negative-number test, widened to exponent form (-5.3e-05), -inf and -nan
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):  # exit 2 without killing the caller
         raise _UsageError(message)
 
@@ -97,7 +104,7 @@ def _build_parser() -> _Parser:
     p_build.add_argument("--dg", type=float, default=0.0)
     p_build.add_argument("--generator", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--angles", type=_floats, default=None, help="phi_i,phi_j squeeze angles")
+    p_build.add_argument("--angles", type=_floats, default=(0.0, 0.0), help="phi_i,phi_j squeeze angles")
     p_build.add_argument("--modes", type=_ints, default=None, help="explicit mode indices")
     p_build.add_argument("--spectrum-tol", type=float, default=None)
     p_build.add_argument("--full-precision", action="store_true")
@@ -161,13 +168,12 @@ def _cmd_qfi(args) -> int:
 @_finite_checked
 def _cmd_build(args) -> int:
     gen = jsonio.generator_from_dict(jsonio.load_json(args.generator))
-    angles = (args.angles + (0.0,))[:2] if args.angles else (0.0, 0.0)
     spec = optimal.ProbeSpec(
         kind=_BUILD_KINDS[args.kind],
         n_signal=args.ns,
         target_gmean=args.gbar,
         target_gvar=args.dg**2,
-        squeeze_angles=angles,
+        squeeze_angles=args.angles if len(args.angles) > 1 else args.angles + (0.0,),  # pads one angle
         mode_choice=args.modes,
         spectrum_tol=args.spectrum_tol if args.spectrum_tol is not None else np.inf,
     )

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_TOL = 1e-10
+_R_GAP = 1e-10  # relative gap below which takagi counts squeezing magnitudes as equal
 
 
 def max_norm(a: np.ndarray) -> float:
@@ -164,7 +165,7 @@ def takagi(f: np.ndarray) -> TakagiFactorization:
         return TakagiFactorization(V=np.eye(m, dtype=complex), r=np.zeros(m))
     u, sigma, _ = np.linalg.svd(f)
     z = u.conj().T @ f @ u.conj()  # symmetric, block diagonal over sigma clusters
-    gap = 1e-10 * max(1.0, sigma[0])
+    gap = _R_GAP * max(1.0, sigma[0])
     v = np.zeros_like(u)
     for sl in _cluster_slices(-sigma, gap):  # sigma is descending
         s_val = sigma[sl][0]

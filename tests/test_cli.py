@@ -778,3 +778,88 @@ def test_cli_prints_and_writes_strict_json(fixture_paths, capsys):
     assert len(written) > 10
     for path in written:
         _strict_json(path.read_text())
+
+
+@pytest.mark.parametrize("value", ["-5.3e-05", "-1E+2", "-.5e1"])
+def test_negative_exponent_option_value(tmp_path, capsys, value):
+    # argparse's own pattern takes -5.3e-05 for an option; the value must
+    # read the same whether it follows the option or an '='
+    gen_path = _random_dense_generator(tmp_path, 3, seed=1)
+    out = tmp_path / "probe.json"
+    results = []
+    for flag in (["--gbar", value], [f"--gbar={value}"]):
+        rc = cli.run(["build-state", "--kind", "optimal", "--ns", "2", "--dg", "1",
+                      "--generator", gen_path, "--out", str(out)] + flag)
+        assert rc == 0, capsys.readouterr().err
+        results.append((capsys.readouterr().out, out.read_bytes()))
+    assert results[0] == results[1]
+
+
+def test_negative_infinite_option_value_exit_3(tmp_path, capsys):
+    gen_path = _random_dense_generator(tmp_path, 3, seed=1)
+    out = tmp_path / "never.json"
+    rc = cli.run(["build-state", "--kind", "optimal", "--ns", "2", "--gbar", "-inf",
+                  "--generator", gen_path, "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: target_gmean must be a finite number, got -inf\n"
+    assert not out.exists()
+
+
+def test_homodyne_negative_exponent_lambda(fixture_paths, capsys):
+    state_path, gen_path, _ = fixture_paths
+    outs = []
+    for flag in (["--lambda", "-1e-3"], ["--lambda=-1e-3"]):
+        assert cli.run(["homodyne", "--state", state_path, "--generator", gen_path] + flag) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("angles", ["0.3,0.4,9,9", "0.3,0.4,9", "nan", "0.3,inf"])
+def test_build_state_bad_angles_exit_3(fixture_paths, capsys, angles):
+    _, gen_path, tmp_path = fixture_paths
+    out = tmp_path / "never.json"
+    rc = cli.run(["build-state", "--kind", "optimal", "--ns", "2", "--dg", "1",
+                  "--generator", gen_path, "--out", str(out), "--angles", angles])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: squeeze_angles") and captured.out == ""
+    assert not out.exists()
+
+
+def test_build_state_single_angle_pads_with_zero(fixture_paths, capsys):
+    _, gen_path, tmp_path = fixture_paths
+    out = tmp_path / "probe.json"
+    states = []
+    for angles in ("0.7", "0.7,0"):
+        rc = cli.run(["build-state", "--kind", "optimal", "--ns", "2", "--dg", "1",
+                      "--generator", gen_path, "--out", str(out), "--angles", angles])
+        assert rc == 0
+        states.append((capsys.readouterr().out, out.read_bytes()))
+    assert states[0] == states[1]
+
+
+def test_homodyne_repeated_modes_exit_3(fixture_paths, capsys):
+    # a repeated index would count one mode's FI twice, above the QFI
+    state_path, gen_path, _ = fixture_paths
+    assert cli.run(["homodyne", "--state", state_path, "--generator", gen_path, "--modes", "1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: measured mode indices must be distinct, got (1, 1)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_homodyne_one_mode_of_built_equal_squeezing_pair(tmp_path, capsys, m):
+    # one mode of a round-tripped equal-squeezing pair reads its share of the QFI
+    gen_path = _random_dense_generator(tmp_path, m, seed=m)
+    state_path = str(tmp_path / "probe.json")
+    io_args = ["--state", state_path, "--generator", gen_path, "--full-precision"]
+    assert cli.run(["build-state", "--kind", "variance-optimal", "--ns", "2", "--gbar", "0.1",
+                    "--dg", "0.8", "--generator", gen_path, "--out", state_path]) == 0
+    capsys.readouterr()
+    assert cli.run(["homodyne"] + io_args) == 0
+    joint = json.loads(capsys.readouterr().out)
+    shares = []
+    for k in range(len(joint["per_mode_fi"])):
+        assert cli.run(["homodyne", "--modes", str(k)] + io_args) == 0, capsys.readouterr().err
+        shares.append(json.loads(capsys.readouterr().out)["fi"])
+    assert shares == joint["per_mode_fi"]

@@ -467,3 +467,63 @@ def test_thermal_knob():
     assert measurement.sigma_env_from_thermal(0.0, 0.5) == 1.0
     assert measurement.sigma_env_from_thermal(2.0, 1.0) == 1.0
     assert measurement.sigma_env_from_thermal(2.0, 0.5) == pytest.approx(9.0)
+
+
+def test_homodyne_rejects_displaced_measured_mode():
+    d = DisentangledForm(V=np.eye(2, dtype=complex), alpha=np.array([0.0, 0.5j]), r=np.array([0.4, 0.7]))
+    with pytest.raises(InputError, match="displaced"):
+        measurement.homodyne_fi(d, GEN13, HomodyneSetup(mode_indices=(0, 1)))
+    # a displaced mode that is not measured is no obstacle
+    assert measurement.homodyne_fi(d, GEN13, HomodyneSetup(mode_indices=(0,))).fi > 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_homodyne_single_modes_of_round_tripped_cluster(m):
+    # the whole equal-squeezing cluster is turned whichever of its modes
+    # is measured, so each mode alone reads its share of the joint FI
+    rng = np.random.default_rng(m)
+    w = random_unitary(rng, m)
+    gen = generator.from_matrix((w * rng.uniform(-2.0, 2.0, m)) @ w.conj().T)
+    spec = optimal.ProbeSpec(kind="variance_optimal", n_signal=3.0, target_gmean=0.2, target_gvar=0.7)
+    d = disentangle(assemble(optimal.build_probe(spec, gen).state))
+    modes = tuple(range(m))
+    joint = measurement.homodyne_fi(d, gen, HomodyneSetup(mode_indices=modes))
+    assert joint.fi == pytest.approx(metrology.qfi(d, gen).qfi, rel=1e-9)
+    for n in modes:
+        alone = measurement.homodyne_fi(d, gen, HomodyneSetup(mode_indices=(n,)))
+        assert alone.per_mode_fi[0] == joint.per_mode_fi[n]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    m=st.integers(2, 5),
+    kind=st.sampled_from(["optimal", "variance_optimal", "mean_optimal", "idler_assisted"]),
+    idlers=st.booleans(),
+)
+def test_round_tripped_homodyne_never_exceeds_qfi(data, m, kind, idlers):
+    # disentangle fixes equally squeezed and unsqueezed modes only up to a
+    # rotation; any distinct subset of the round-tripped modes stays below the QFI
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_idle = 2 if idlers or kind == "idler_assisted" else 0
+    w = random_unitary(rng, m + n_idle)
+    g = np.concatenate([rng.uniform(-2.0, 2.0, m), np.zeros(n_idle)])
+    gen = generator.from_matrix((w * g) @ w.conj().T)
+    spec = optimal.ProbeSpec(
+        kind=kind,
+        n_signal=data.draw(st.floats(0.5, 4.0)),
+        target_gmean=data.draw(st.sampled_from([0.0, 0.4, -1.1])),
+        target_gvar=0.5,
+    )
+    d = disentangle(assemble(optimal.build_probe(spec, gen).state))
+    modes = tuple(data.draw(st.lists(st.integers(0, d.n_modes - 1), min_size=1, max_size=d.n_modes, unique=True)))
+    phases = data.draw(st.one_of(st.just("auto"), st.tuples(*[st.floats(-3.0, 3.0)] * len(modes))))
+    setup = HomodyneSetup(
+        mode_indices=modes,
+        phases=phases,
+        eta=data.draw(st.floats(0.05, 1.0)),
+        true_param=data.draw(st.floats(-1.0, 1.0)),
+    )
+    assert measurement.homodyne_fi(d, gen, setup).fi <= metrology.qfi(d, gen).qfi * (1.0 + 1e-9)
+    with pytest.raises(InputError, match="distinct"):
+        HomodyneSetup(mode_indices=modes + modes[:1])

@@ -292,3 +292,9 @@ def test_mode_choice_checked_against_kind(kind, modes):
     )
     with pytest.raises(InputError, match="mode indices"):
         optimal.build_probe(spec, gen)
+
+
+@pytest.mark.parametrize("angles", [(0.3,), (0.3, 0.4, 9.0), (float("nan"), 0.0), (0.0, float("inf"))])
+def test_probe_spec_rejects_bad_squeeze_angles(angles):
+    with pytest.raises(InputError, match="squeeze_angles"):
+        optimal.ProbeSpec(kind="optimal", n_signal=2.0, squeeze_angles=angles)

@@ -365,3 +365,21 @@ def test_table_probe_optimal_needs_a_spread(gbar, dg):
     # dg = 1e-9 leaves hypot(gbar, dg) == |gbar|, so q rounds to 1 as at dg = 0
     with pytest.raises(InputError, match="spread"):
         scenarios.table_probe("optimal", 2.0, gbar, dg)
+
+
+@pytest.mark.parametrize("kind", scenarios.SCENARIO_KINDS)
+@pytest.mark.parametrize("r", [(0.5, 0.5), (0.7, 0.3)])
+def test_regularized_probe_unmatched_theta_keeps_independent_modes(kind, r, monkeypatch):
+    # for well-separated modes the Schmidt mixing of matched angles is
+    # negligible, so unmatched angles, which skip it, read the same numbers
+    def probe(theta):
+        pair = RegularizedModePair(center_z=(6.0, -6.0), center_p=(8.0, -8.0), sigma_z=1.0, theta=theta, r=r)
+        state, gen, res = scenarios.build_regularized_probe(ScenarioConfig(kind=kind, pair=pair, n_signal=4.0))
+        return metrology.qfi(state, gen).qfi, (res.n_signal, res.g_mean, res.g_var)
+
+    qfi0, res0 = probe((0.0, 0.0))
+    monkeypatch.setattr(scenarios, "schmidt_pair", None)  # the unmatched branch does not call it
+    for theta in [(0.0, 0.3), (1.1, -0.4)]:
+        qfi, res = probe(theta)
+        assert qfi == pytest.approx(qfi0, rel=1e-12)
+        assert res == pytest.approx(res0, rel=1e-12, abs=1e-12)
