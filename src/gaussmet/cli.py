@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import re
 import sys
@@ -42,9 +43,9 @@ _finite_checked = np.errstate(over="ignore", invalid="ignore")
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):  # subparsers are _Parser too
         super().__init__(*args, **kwargs)
-        # argparse's negative-number test, widened to exponent form (-5.3e-05), -inf and -nan
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+        # argparse's negative-number test, widened to exponent form (-5.3e-05), -inf, -nan and lists (-0.3,0.2)
+        num = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
+        self._negative_number_matcher = re.compile(rf"^-{num}(,-?{num})*$", re.IGNORECASE)
 
     def error(self, message):  # exit 2 without killing the caller
         raise _UsageError(message)
@@ -86,6 +87,7 @@ def _phases(text: str) -> tuple[float, ...] | str:
     return "auto" if text == "auto" else _floats(text)
 
 
+@functools.cache  # built on the first run, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gaussmet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,6 +180,7 @@ def _cmd_build(args) -> int:
         spectrum_tol=args.spectrum_tol if args.spectrum_tol is not None else np.inf,
     )
     result = optimal.build_probe(spec, gen)
+    del gen  # frees the generator and its cached projector before the state is written
     summary = {
         "state_path": args.out,
         "achieved": dataclasses.asdict(result.achieved),

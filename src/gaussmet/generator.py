@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,13 +51,20 @@ class Generator:
     def n_modes(self) -> int:
         return self.G.shape[0]
 
-    @property
+    @cached_property
     def idler_mask(self) -> np.ndarray:
         g = self.eig.eigvals
         scale = np.max(np.abs(g)) if g.size else 0.0
-        if scale == 0.0:
-            return np.ones_like(g, dtype=bool)
-        return np.abs(g) <= self.signal_tol * scale
+        mask = np.abs(g) <= self.signal_tol * scale if scale else np.ones_like(g, dtype=bool)
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def _signal_projector(self) -> np.ndarray:
+        b = self.eig.U
+        p = (b * (~self.idler_mask).astype(float)) @ b.conj().T
+        p.flags.writeable = False
+        return p
 
     @property
     def idler_indices(self) -> np.ndarray:
@@ -78,10 +86,8 @@ def from_matrix(
 
 
 def signal_projector(gen: Generator) -> np.ndarray:
-    """Projector onto the span of eigenvectors with nonzero eigenvalue."""
-    keep = (~gen.idler_mask).astype(float)
-    b = gen.eig.U
-    return (b * keep) @ b.conj().T
+    """Projector onto the span of eigenvectors with nonzero eigenvalue, cached read-only on ``gen``."""
+    return gen._signal_projector
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import os
-import secrets
 from typing import Any, Iterator
 
 import numpy as np
@@ -160,7 +159,7 @@ def _write_atomic(path: str, text: str) -> None:
     over ``path``. On any failure the temp file is removed and an existing
     ``path`` is left as it was.
     """
-    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:

@@ -21,12 +21,12 @@ _R_GAP = 1e-10  # relative gap below which takagi counts squeezing magnitudes as
 def max_norm(a: np.ndarray) -> float:
     """Largest entry magnitude, the norm all tolerances are relative to."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains NaN or infinite entries")
     return a
 

@@ -58,6 +58,8 @@ class HomodyneSetup:
             raise InputError("need one phase per measured mode")
         else:
             require_finite(**{f"phase {k}": phi for k, phi in enumerate(self.phases)})
+        if not all(isinstance(n, (int, np.integer)) for n in self.mode_indices):
+            raise InputError(f"measured mode indices must be integers, got {self.mode_indices}")
         if len(set(self.mode_indices)) != len(self.mode_indices):
             raise InputError(f"measured mode indices must be distinct, got {self.mode_indices}")
 
@@ -139,7 +141,11 @@ def homodyne_fi(d: DisentangledForm, gen: Generator, setup: HomodyneSetup) -> Ho
     (1 - eta) sigma_env^2) is a sum of non-negative terms; at eta = 1
     the contribution is the eigenmode QFI share 8 g^2 s^2 (s^2 + 1).
     """
-    g, r = _eigenmode_data(d, gen, setup.mode_indices)
+    return _homodyne_result(*_eigenmode_data(d, gen, setup.mode_indices), setup)
+
+
+def _homodyne_result(g: np.ndarray, r: np.ndarray, setup: HomodyneSetup) -> HomodyneResult:
+    """:func:`homodyne_fi` from the measured modes' (g, r) of :func:`_eigenmode_data`."""
     eta, lam = setup.eta, setup.true_param
     noise = (1.0 - eta) * setup.sigma_env_sq
     b = eta * np.sinh(2.0 * r)
@@ -232,7 +238,12 @@ def direct_detection_fi(
             ConditionNotVerifiedWarning,
             stacklevel=2,
         )
-    shifted = gen.G - metrology.resources(d, gen).g_mean * signal_projector(gen)
+    return _direct_fi(d, gen, metrology.resources(d, gen).g_mean)
+
+
+def _direct_fi(d: DisentangledForm, gen: Generator, g_mean: float) -> float:
+    """:func:`direct_detection_fi`, given the probe's resource mean ``g_mean``; warns nothing."""
+    shifted = gen.G - g_mean * signal_projector(gen)
     return metrology._qfi_value(d, metrology.build_workspace(d, shifted))
 
 

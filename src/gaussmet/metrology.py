@@ -80,16 +80,14 @@ def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
     gt = build_workspace(d, gen.G)
     s2 = np.sinh(d.r) ** 2
     pt = d.V.conj().T @ signal_projector(gen) @ d.V
-    n_signal = float(np.sum(np.sum(np.abs(pt) ** 2, axis=0) * s2) + np.sum(np.abs(pt @ d.alpha) ** 2))
+    n_signal = float(((np.abs(pt) ** 2).sum(axis=0) * s2).sum() + (np.abs(pt @ d.alpha) ** 2).sum())
     n_total = s2.sum() + np.vdot(d.alpha, d.alpha).real
     if n_signal <= (d.n_modes * _EPS) ** 2 * n_total:
         return ResourceTriple(n_signal=0.0, g_mean=0.0, g_var=0.0, well_defined=False)
-    first = float(
-        np.real(np.sum(np.diag(gt).real * s2) + d.alpha.conj() @ gt @ d.alpha)
-    )
+    first = float(((gt.diagonal().real * s2).sum() + d.alpha.conj() @ gt @ d.alpha).real)
     g_mean = first / n_signal
     h = gt - g_mean * pt
-    g_var = float(np.sum(np.sum(np.abs(h) ** 2, axis=0) * s2) + np.sum(np.abs(h @ d.alpha) ** 2))
+    g_var = float(((np.abs(h) ** 2).sum(axis=0) * s2).sum() + (np.abs(h @ d.alpha) ** 2).sum())
     g_var /= n_signal
     return ResourceTriple(n_signal=n_signal, g_mean=g_mean, g_var=g_var)
 

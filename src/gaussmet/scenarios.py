@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import measurement, metrology, optimal
-from .errors import ConditionNotVerifiedWarning, GaussmetError, InputError, RegularizationWarning, require_finite
+from .errors import GaussmetError, InputError, RegularizationWarning, require_finite
 from .gaussian import DisentangledForm
 from .generator import SHIFT_DOMAINS as SCENARIO_KINDS, Generator, _hg_ladder, from_matrix
 from .metrology import ResourceTriple
@@ -250,18 +250,16 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
         for n_signal in ns_values:
             state, gen = table_probe(kind, float(n_signal), gbar, dg)
             report = metrology.qfi(state, gen)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", category=ConditionNotVerifiedWarning)
-                direct = measurement.direct_detection_fi(state, gen)
+            direct = measurement._direct_fi(state, gen, report.resources.g_mean)
             modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])
+            try:  # the eigenmode pass depends on the probe alone, not on eta
+                data = measurement._eigenmode_data(state, gen, modes) if modes else None
+            except GaussmetError:
+                data = None
             for eta in etas:
-                hom = float("nan")
-                if modes:
-                    setup = measurement.HomodyneSetup(mode_indices=modes, eta=float(eta))
-                    try:
-                        hom = measurement.homodyne_fi(state, gen, setup).fi
-                    except GaussmetError:
-                        pass
+                # the setup is built, and checks eta, whenever the probe has squeezed modes
+                setup = measurement.HomodyneSetup(mode_indices=modes, eta=float(eta)) if modes else None
+                hom = measurement._homodyne_result(*data, setup).fi if data else float("nan")
                 rows.append(
                     {
                         "probe_kind": kind,

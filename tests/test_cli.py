@@ -621,13 +621,17 @@ def test_python_dash_m_runs_the_cli(fixture_paths, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # numpy is the one runtime dependency; scipy.linalg would more than double the start-up of every command
+    # numpy is the one runtime dependency; scipy.linalg would more than double the start-up of every command,
+    # hashlib (with its OpenSSL binding) adds about 6 ms that the temp-file names do not need, and the
+    # argument parser is built on the first run, not at import
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, gaussmet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, gaussmet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')), "
+            "gaussmet.cli._build_parser.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] 0\n"
 
 
 def _random_dense_generator(tmp_path, m, seed):
@@ -812,6 +816,30 @@ def test_homodyne_negative_exponent_lambda(fixture_paths, capsys):
         assert cli.run(["homodyne", "--state", state_path, "--generator", gen_path] + flag) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--phases", "-0.2,0.1"), ("--phases", "-2e-1,-1E-1"), ("--phases", "-inf,0.1"),
+     ("--angles", "-0.3,0.2"), ("--angles", "-.3"), ("--angles", "-0.3,-inf")],
+)
+def test_negative_list_option_value(fixture_paths, capsys, option, value):
+    # a list whose first value is negative is an option value, as it is after an '='
+    state_path, gen_path, tmp_path = fixture_paths
+    out = tmp_path / "out.json"
+    if option == "--phases":
+        command = ["homodyne", "--state", state_path, "--generator", gen_path, "--out", str(out)]
+    else:
+        command = ["build-state", "--kind", "optimal", "--ns", "2", "--dg", "1",
+                   "--generator", gen_path, "--out", str(out)]
+    results = []
+    for flag in ([option, value], [f"{option}={value}"]):
+        rc = cli.run(command + flag)
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert results[0] == results[1]
+    assert results[0][0] == (3 if "inf" in value else 0)
 
 
 @pytest.mark.parametrize("angles", ["0.3,0.4,9,9", "0.3,0.4,9", "nan", "0.3,inf"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaussmet import generator, matkernel
+from gaussmet import generator, matkernel, verify
 from gaussmet.errors import InputError
 from gaussmet.generator import DiscretizationGrid, HGParams
 from gaussmet.matkernel import max_norm
@@ -70,6 +70,24 @@ def test_signal_projector_properties_random():
         assert max_norm(p.conj().T - p) < 1e-9
         assert max_norm(p @ gen.G - gen.G) < 1e-9 * max(1.0, max_norm(gen.G))
         assert max_norm(gen.G @ p - gen.G) < 1e-9 * max(1.0, max_norm(gen.G))
+
+
+@pytest.mark.parametrize("eigvals", [[0.0, 2.0, -1.0], [1.0, -2.0], [0.0, 0.0], [1e-14, 1.0, 3.0]])
+def test_idler_mask_and_signal_projector_are_cached_read_only(eigvals):
+    w = verify.random_unitary(np.random.default_rng(3), len(eigvals))
+    gen = generator.from_matrix((w * np.array(eigvals)) @ w.conj().T)
+    g = gen.eig.eigvals
+    scale = np.abs(g).max()
+    mask = np.abs(g) <= gen.signal_tol * scale if scale > 0.0 else np.ones(g.size, dtype=bool)
+    keep = (~mask).astype(float)
+    projector = (gen.eig.U * keep) @ gen.eig.U.conj().T
+    for cached, uncached in ((gen.idler_mask, mask), (generator.signal_projector(gen), projector)):
+        assert np.array_equal(cached, uncached)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = cached[-1]
+    assert gen.idler_mask is gen.idler_mask
+    assert generator.signal_projector(gen) is generator.signal_projector(gen)
 
 
 def test_shift_generator_uniform_grid():

@@ -527,3 +527,17 @@ def test_round_tripped_homodyne_never_exceeds_qfi(data, m, kind, idlers):
     assert measurement.homodyne_fi(d, gen, setup).fi <= metrology.qfi(d, gen).qfi * (1.0 + 1e-9)
     with pytest.raises(InputError, match="distinct"):
         HomodyneSetup(mode_indices=modes + modes[:1])
+
+
+@pytest.mark.parametrize("modes", [(0.5,), (1.0,), (0, "1"), (None,)])
+def test_homodyne_setup_rejects_non_integer_modes(modes):
+    with pytest.raises(InputError, match="must be integers"):
+        HomodyneSetup(mode_indices=modes)
+
+
+def test_homodyne_setup_accepts_numpy_integer_modes():
+    d = _probe(2, [1.0, 2.0])
+    numpy_modes = HomodyneSetup(mode_indices=(np.int64(0), np.intp(1)))
+    assert measurement.homodyne_fi(d, GEN13, numpy_modes) == measurement.homodyne_fi(
+        d, GEN13, HomodyneSetup(mode_indices=(0, 1))
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaussmet import measurement, metrology, scenarios
-from gaussmet.errors import InputError, RegularizationWarning
+from gaussmet.errors import GaussmetError, InputError, RegularizationWarning
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import HGParams, hg_generator, hg_mode
 from gaussmet.regmodes import RegularizedModePair
@@ -357,6 +357,60 @@ def test_run_scenario_eta_crossover():
             assert row["homodyne_fi"] > coherent_at_eta
         else:
             assert row["homodyne_fi"] < coherent_at_eta
+
+
+def _per_row_reference(cfg):
+    """run_scenario's rows with every cell computed by its own public call."""
+    gbar, dg = scenarios._scenario_targets(cfg)
+    rows = []
+    for kind in scenarios.TABLE_KINDS:
+        for n_signal in cfg.sweep["n_signal"]:
+            state, gen = scenarios.table_probe(kind, float(n_signal), gbar, dg)
+            report = metrology.qfi(state, gen)
+            direct = measurement.direct_detection_fi(state, gen, condition_verified=True)
+            modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])
+            for eta in cfg.sweep["eta"]:
+                hom = float("nan")
+                if modes:
+                    setup = measurement.HomodyneSetup(mode_indices=modes, eta=float(eta))
+                    try:
+                        hom = measurement.homodyne_fi(state, gen, setup).fi
+                    except GaussmetError:
+                        pass
+                res = report.resources
+                rows.append({"probe_kind": kind, "n_signal": res.n_signal, "g_mean": res.g_mean,
+                             "g_sd": float(np.sqrt(res.g_var)), "eta": float(eta), "qfi": report.qfi,
+                             "bound": report.bound, "homodyne_fi": hom, "direct_fi": direct})
+    return rows
+
+
+@pytest.mark.parametrize("kind", scenarios.SCENARIO_KINDS)
+def test_run_scenario_matches_per_row_calls(kind):
+    # the table evaluates each probe once; every cell must still be the
+    # per-row call's value to the bit, with NaN in the same cells
+    pair = RegularizedModePair(center_z=(3.0, -1.0), center_p=(8.0, 2.0), sigma_z=0.8, r=(0.5, 0.5))
+    sweep = {"n_signal": [0.5, 4.0, 30.0], "eta": [1.0, 0.75, 0.2]}
+    cfg = ScenarioConfig(kind=kind, pair=pair, n_signal=4.0, sweep=sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the table path raises no warning
+        rows = scenarios.run_scenario(cfg)
+    assert repr(rows) == repr(_per_row_reference(cfg))
+    hom = np.array([row["homodyne_fi"] for row in rows])
+    assert np.isnan(hom).any() and not np.isnan(hom).all()
+
+
+@pytest.mark.parametrize("bad_eta", [0.0, -0.2, 1.5])
+@pytest.mark.parametrize("eigenmode_pass_fails", [False, True])
+def test_run_scenario_rejects_eta_outside_unit_interval(bad_eta, eigenmode_pass_fails, monkeypatch):
+    if eigenmode_pass_fails:  # every homodyne cell would be NaN; eta is still checked
+
+        def no_eigenmodes(*args):
+            raise InputError("state mode 0 is not a generator eigenmode")
+
+        monkeypatch.setattr(measurement, "_eigenmode_data", no_eigenmodes)
+    cfg = ScenarioConfig(kind="time_shift", pair=_varopt_pair(4.0), n_signal=4.0, sweep={"eta": [1.0, bad_eta]})
+    with pytest.raises(InputError, match=r"eta must lie in \(0, 1\]"):
+        scenarios.run_scenario(cfg)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
