@@ -217,7 +217,7 @@ def _cmd_homodyne(args) -> int:
         for k, row in enumerate(samples):
             csv = io.StringIO()
             np.savetxt(csv, row, fmt=f"%.{sig}g")
-            jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", csv.getvalue())
+            jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", [csv.getvalue()])
     _emit(payload, args.out)
     return 0
 
@@ -229,7 +229,7 @@ def _cmd_scenario(args) -> int:
     lines = [",".join(rows[0])]  # run_scenario's keys name the columns
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else f"{v:.{sig}g}" for v in row.values()))
-    jsonio._write_atomic(args.out, "\n".join(lines) + "\n")
+    jsonio._write_atomic(args.out, ["\n".join(lines) + "\n"])
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -77,7 +77,9 @@ def from_matrix(
     basis_label: str = "a",
     meta: dict | None = None,
 ) -> Generator:
-    """Wrap a Hermitian matrix with its ascending eigendecomposition."""
+    """Wrap a Hermitian matrix with its ascending eigendecomposition; ``signal_tol`` lies in [0, 1)."""
+    if not 0.0 <= signal_tol < 1.0:  # also rejects NaN
+        raise InputError(f"signal_tol must be a number in [0, 1), got {signal_tol!r}")
     g_matrix = matkernel.require_hermitian(np.asarray(g_matrix, dtype=complex), name="G")
     eig = matkernel._hermitian_eig(g_matrix)
     return Generator(

@@ -1,8 +1,8 @@
 """JSON schemas for states, generators and scenario configs.
 
-Complex numbers are two-element [re, im] arrays, converted a whole array
-at a time (``_pairs``, ``_parse_array``). Files are the bytes of
-``json.dumps(obj, indent=2)``, written by ``format_json``, with
+Complex numbers are two-element [re, im] arrays, read a whole array at a
+time (``_parse_array``); ``format_json`` writes a complex ndarray as its
+[re, im] pair lists. Files are the bytes of ``json.dumps(obj, indent=2)``, with
 shortest-round-trip floats, so they round-trip bit-exactly. Reports
 need no schema here: the CLI converts its result dataclasses with
 ``dataclasses.asdict`` and rounds them with ``round_floats`` to a
@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import os
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -25,11 +25,6 @@ from .gaussian import GaussianPureState
 from .generator import DEFAULT_SIGNAL_TOL, Generator, from_matrix
 from .regmodes import RegularizedModePair
 from .scenarios import ScenarioConfig
-
-
-def _pairs(a: np.ndarray) -> list:
-    """Nested lists of [re, im] floats, one per entry of a complex array."""
-    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _parse_array(obj: Any, where: str, ndim: int) -> np.ndarray:
@@ -57,15 +52,17 @@ def _parse_array(obj: Any, where: str, ndim: int) -> np.ndarray:
 def state_to_dict(state: GaussianPureState) -> dict:
     return {
         "n_modes": state.n_modes,
-        "beta": _pairs(state.beta),
-        "f": _pairs(state.f),
+        "beta": state.beta,
+        "f": state.f,
         "basis_label": state.basis_label,
     }
 
 
 def state_from_dict(obj: dict) -> GaussianPureState:
     try:
-        n_modes = int(obj["n_modes"])
+        n_modes = obj["n_modes"]
+        if type(n_modes) is not int:  # not 2.7, "2" or true
+            raise InputError(f"invalid state field: n_modes must be an integer, got {n_modes!r}")
         beta = _parse_array(obj["beta"], "beta", 2)
         f = _parse_array(obj["f"], "f", 3)
         label = str(obj.get("basis_label", "a"))
@@ -80,7 +77,7 @@ def state_from_dict(obj: dict) -> GaussianPureState:
 
 
 def generator_to_dict(gen: Generator) -> dict:
-    return {"G": _pairs(gen.G), "signal_tol": gen.signal_tol}
+    return {"G": gen.G, "signal_tol": gen.signal_tol}
 
 
 def generator_from_dict(obj: dict) -> Generator:
@@ -151,37 +148,46 @@ def load_json(path: str) -> dict:
     return obj
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` whole or not at all.
 
     The text goes to a new temp file beside ``path``, created as
     ``open(path, "w")`` would create it, and ``os.replace`` then moves it
     over ``path``. On any failure the temp file is removed and an existing
-    ``path`` is left as it was.
+    ``path`` is left as it was; an ``OSError`` names ``path``, not the temp file.
     """
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def format_json(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte. ``indent`` sends the
+    """``json.dumps(obj, indent=2)`` byte for byte, where a complex ndarray
+    stands for its nested lists of [re, im] pairs. ``indent`` sends the
     stdlib to its pure-Python encoder; this walks dicts and lists as that
-    encoder does, but formats each list of [float, float] pairs with one
-    C-encoder ``json.dumps`` and then indents its separators."""
+    encoder does, but writes each complex array a list of pairs at a time,
+    formatting each of its distinct floats once."""
     return "".join(_chunks(obj, "\n"))
 
 
 def _chunks(obj: Any, pad: str) -> Iterator[str]:
     inner, keyed = pad + "  ", isinstance(obj, dict)
-    if not isinstance(obj, (dict, list, tuple)) or not obj or keyed and not all(type(k) is str for k in obj):
+    if isinstance(obj, np.ndarray) and obj.dtype == complex and obj.ndim:
+        # keyed by bit pattern, which keeps 0.0 and -0.0 apart; np.stack copies any strides to C order
+        keys, inv = np.unique(np.stack([obj.real, obj.imag], -1).view(np.int64), return_inverse=True)
+        texts = np.array(json.dumps(keys.view(float).tolist())[1:-1].split(", "), dtype=object)  # once per key
+        yield from _pair_lists(texts[inv.reshape(*obj.shape, 2)], pad)
+    elif not isinstance(obj, (dict, list, tuple)) or not obj or keyed and not all(type(k) is str for k in obj):
         # scalars, empty containers, and dicts whose keys the stdlib converts to strings
         yield json.dumps(obj, indent=2).replace("\n", pad)
     elif keyed:
@@ -191,12 +197,6 @@ def _chunks(obj: Any, pad: str) -> Iterator[str]:
             yield from _chunks(value, inner)
             sep = ","
         yield pad + "}"
-    elif set(map(type, obj)) == {list} and set(map(len, obj)) == {2} and set(
-        map(type, itertools.chain.from_iterable(obj))
-    ) == {float}:
-        item = inner + "  "
-        body = json.dumps(obj)[2:-2].replace("], [", f"{inner}],{inner}[{item}").replace(", ", "," + item)
-        yield f"[{inner}[{item}{body}{inner}]{pad}]"
     else:
         sep = "["
         for value in obj:
@@ -206,6 +206,26 @@ def _chunks(obj: Any, pad: str) -> Iterator[str]:
         yield pad + "]"
 
 
+def _pair_lists(texts: np.ndarray, pad: str) -> Iterator[str]:
+    """The indented nested lists of [re, im] pairs whose float texts ``texts``
+    holds, shape (..., 2): one chunk per list of pairs."""
+    inner = pad + "  "
+    if not len(texts):
+        yield "[]"
+    elif texts.ndim > 2:
+        sep = "["
+        for row in texts:
+            yield sep + inner
+            yield from _pair_lists(row, inner)
+            sep = ","
+        yield pad + "]"
+    else:
+        item = inner + "  "
+        cells = np.full((len(texts), 4), f"{inner}],{inner}[{item}", dtype=object)  # re, sep, im, sep
+        cells[:, ::2], cells[:, 1], cells[-1, 3] = texts, "," + item, f"{inner}]{pad}]"
+        yield f"[{inner}[{item}" + "".join(cells.ravel().tolist())
+
+
 def dump_json(obj: dict, path: str) -> None:
-    # one join: each extra whole-text copy (5 MB at M = 256) raised peak RSS
-    _write_atomic(path, "".join(itertools.chain(_chunks(obj, "\n"), ("\n",))))
+    # streamed: each whole-text copy (5 MB at M = 256) raised peak RSS
+    _write_atomic(path, itertools.chain(_chunks(obj, "\n"), ("\n",)))

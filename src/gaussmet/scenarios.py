@@ -202,18 +202,18 @@ def _scenario_targets(cfg: ScenarioConfig) -> tuple[float, float]:
     return float(gbar), float(dg)
 
 
-def table_probe(kind: str, n_signal: float, gbar: float, dg: float):
+def table_probe(kind: str, n_signal: float, gbar: float, dg: float, build=from_matrix):
     """Ideal probe of one table family at exactly the given resources.
 
     Returns (state, generator); each family gets the smallest generator
     whose spectrum realizes the required eigenvalues exactly. The optimal
-    family needs dg > 0 (InputError otherwise).
+    family needs dg > 0 (InputError otherwise). ``build`` makes the generator from its matrix.
     """
     if kind == "derivative_displaced":
-        gen = from_matrix(np.array([[gbar, 1j * dg], [-1j * dg, gbar]], dtype=complex))
+        gen = build(np.array([[gbar, 1j * dg], [-1j * dg, gbar]], dtype=complex))
         spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal)
     elif kind in ("coherent", "mean_optimal"):
-        gen = from_matrix(np.diag([gbar - dg, gbar + dg]).astype(complex))
+        gen = build(np.diag([gbar - dg, gbar + dg]).astype(complex))
         if kind == "coherent":
             amp = np.sqrt(n_signal / 2.0)
             alpha = np.array([amp, amp], complex)
@@ -226,7 +226,7 @@ def table_probe(kind: str, n_signal: float, gbar: float, dg: float):
         spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal, target_gmean=gbar, target_gvar=dg**2)
         if kind not in ("optimal", "variance_optimal"):
             raise InputError(f"unknown probe family {kind!r}")
-        gen = from_matrix(np.diag(optimal._pair_split(spec)[2:]).astype(complex))
+        gen = build(np.diag(optimal._pair_split(spec)[2:]).astype(complex))
     return optimal.build_probe(spec, gen).state, gen
 
 
@@ -246,9 +246,17 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     ns_values = cfg.sweep.get("n_signal", [cfg.n_signal])
     etas = cfg.sweep.get("eta", [1.0])
     rows = []
+    built = {}  # generators by their matrix's bytes: most families' matrices do not change with N
+
+    def build(g: np.ndarray) -> Generator:
+        key = g.tobytes()
+        if key not in built:
+            built[key] = from_matrix(g)
+        return built[key]
+
     for kind in TABLE_KINDS:
         for n_signal in ns_values:
-            state, gen = table_probe(kind, float(n_signal), gbar, dg)
+            state, gen = table_probe(kind, float(n_signal), gbar, dg, build)
             report = metrology.qfi(state, gen)
             direct = measurement._direct_fi(state, gen, report.resources.g_mean)
             modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])

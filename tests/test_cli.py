@@ -492,6 +492,22 @@ def test_dump_json_failure_keeps_old_file(tmp_path, monkeypatch):
     _assert_untouched(tmp_path, ["report.json"], {"report.json": "old\n"})
 
 
+@pytest.mark.parametrize("command", ["build-state", "qfi"])
+@pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+def test_write_error_names_out_path(fixture_paths, capsys, command, target):
+    state_path, gen_path, tmp_path = fixture_paths
+    (tmp_path / "adir").mkdir()
+    out = str(tmp_path / target)
+    extra = (["--kind", "optimal", "--ns", "2", "--gbar", "2", "--dg", "1"] if command == "build-state"
+             else ["--state", state_path])
+    assert cli.run([command, "--generator", gen_path, *extra, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out!r}: ") and ".tmp" not in captured.err
+    assert captured.out == ""
+    _assert_untouched(tmp_path, ["state.json", "gen.json", "adir"], {})
+    assert not any((tmp_path / "adir").iterdir())
+
+
 def test_scenario_csv_failure_keeps_old_file(tmp_path, monkeypatch, capsys):
     config = {
         "pair": {"center_z": [0.0, 0.0], "center_p": [8.0, 2.0], "sigma_z": 1.0, "r": [1.0, 1.0]},
@@ -564,6 +580,14 @@ _BAD_INPUT_FILES = {
         None,
         "f: entries must be numbers",
     ),
+    # a negative or NaN tolerance turns the zero eigenvalue into a signal mode; 2 or inf makes every mode an idler
+    "negative-signal-tol": (None, _gen(g00="0", tail=', "signal_tol": -1'), "signal_tol must be"),
+    "nan-signal-tol": (None, _gen(g00="0", tail=', "signal_tol": NaN'), "signal_tol must be"),
+    "signal-tol-above-one": (None, _gen(tail=', "signal_tol": 2.0'), "signal_tol must be"),
+    "infinite-signal-tol": (None, _gen(tail=', "signal_tol": 1e400'), "signal_tol must be"),
+    "fractional-n-modes": (_state(n_modes="2.7"), None, "n_modes must be an integer"),
+    "string-n-modes": (_state(n_modes='"2"'), None, "n_modes must be an integer"),
+    "boolean-n-modes": (_state(n_modes="true"), None, "n_modes must be an integer"),
 }
 
 

@@ -20,6 +20,17 @@ def test_from_matrix_idler_detection():
     assert list(gen.idler_indices) == [0]
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), 1.0, 2.0, float("inf")])
+def test_from_matrix_rejects_signal_tol_outside_unit_interval(tol):
+    with pytest.raises(InputError, match="signal_tol must be"):
+        generator.from_matrix(np.diag([0.0, 1.0, 2.0]).astype(complex), signal_tol=tol)
+
+
+def test_from_matrix_zero_signal_tol_keeps_exact_zero_an_idler():
+    gen = generator.from_matrix(np.diag([0.0, 1.0, 2.0]).astype(complex), signal_tol=0.0)
+    assert list(gen.idler_indices) == [0]
+
+
 def test_from_matrix_2x2_analytic():
     gen = generator.from_matrix(np.array([[2.0, 1j], [-1j, 2.0]]))
     assert np.allclose(gen.eig.eigvals, [1.0, 3.0])

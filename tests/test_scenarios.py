@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaussmet import measurement, metrology, scenarios
+from gaussmet import generator, measurement, metrology, scenarios
 from gaussmet.errors import GaussmetError, InputError, RegularizationWarning
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import HGParams, hg_generator, hg_mode
@@ -397,6 +397,18 @@ def test_run_scenario_matches_per_row_calls(kind):
     assert repr(rows) == repr(_per_row_reference(cfg))
     hom = np.array([row["homodyne_fi"] for row in rows])
     assert np.isnan(hom).any() and not np.isnan(hom).all()
+
+
+def test_run_scenario_builds_each_generator_once_per_matrix(monkeypatch):
+    # only the optimal family's eigenvalues depend on N, and then at most in the last ulp;
+    # the coherent, mean-optimal and variance-optimal families share one matrix
+    built = []
+    monkeypatch.setattr(scenarios, "from_matrix", lambda g: built.append(g.tobytes()) or generator.from_matrix(g))
+    pair = RegularizedModePair(center_z=(3.0, -1.0), center_p=(8.0, 2.0), sigma_z=0.8, r=(0.5, 0.5))
+    sweep = {"n_signal": [0.5, 4.0, 30.0, 4.0], "eta": [1.0, 0.75]}
+    rows = scenarios.run_scenario(ScenarioConfig(kind="time_shift", pair=pair, n_signal=4.0, sweep=sweep))
+    assert len(rows) == 5 * 4 * 2
+    assert len(set(built)) == len(built) and 3 <= len(built) <= 2 + len(set(sweep["n_signal"]))
 
 
 @pytest.mark.parametrize("bad_eta", [0.0, -0.2, 1.5])
