@@ -41,6 +41,7 @@ class DisentangledForm:
 
     Represents V [prod_n D(alpha_n) S(r_n)] |0>: the state is a product of
     single-mode displaced squeezed vacua in the modes given by V's columns.
+    V, alpha and r may share leading axes: a stack of probes, checked in one pass.
     """
 
     V: np.ndarray
@@ -49,13 +50,12 @@ class DisentangledForm:
 
     def __post_init__(self):
         v = matkernel.require_finite(np.asarray(self.V, dtype=complex), "V")
-        m = v.shape[0]
-        if v.shape != (m, m):
+        if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
             raise InputError("V must be square")
         matkernel._require_unitary(v, "V")
         alpha = matkernel.require_finite(np.asarray(self.alpha, dtype=complex), "alpha")
         r = np.asarray(self.r, dtype=float)
-        if alpha.shape != (m,) or r.shape != (m,):
+        if alpha.shape != v.shape[:-1] or r.shape != v.shape[:-1]:
             raise InputError("alpha and r must have length n_modes")
         if not np.isfinite(r).all():
             raise InputError("r contains NaN or infinite entries")
@@ -67,7 +67,7 @@ class DisentangledForm:
 
     @property
     def n_modes(self) -> int:
-        return self.V.shape[0]
+        return self.V.shape[-1]
 
 
 def disentangle(state: GaussianPureState) -> DisentangledForm:

@@ -39,6 +39,7 @@ class Generator:
 
     ``eig.eigvals`` are ascending; modes whose eigenvalue magnitude is at
     most ``signal_tol * max|g|`` are idlers, untouched by the transform.
+    ``G`` may be a stack of generators on leading axes (:func:`from_matrix`).
     """
 
     G: np.ndarray
@@ -49,22 +50,20 @@ class Generator:
 
     @property
     def n_modes(self) -> int:
-        return self.G.shape[0]
+        return self.G.shape[-1]
 
     @cached_property
+    def _signal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only idler mask and signal projector; a zero matrix, even in a stack, is all idlers."""
+        g, u = np.abs(self.eig.eigvals), self.eig.U
+        mask = g <= self.signal_tol * g.max(axis=-1, keepdims=True, initial=0.0)
+        p = (u * (~mask)[..., None, :].astype(float)) @ u.conj().mT
+        mask.flags.writeable = p.flags.writeable = False
+        return mask, p
+
+    @property
     def idler_mask(self) -> np.ndarray:
-        g = self.eig.eigvals
-        scale = np.max(np.abs(g)) if g.size else 0.0
-        mask = np.abs(g) <= self.signal_tol * scale if scale else np.ones_like(g, dtype=bool)
-        mask.flags.writeable = False
-        return mask
-
-    @cached_property
-    def _signal_projector(self) -> np.ndarray:
-        b = self.eig.U
-        p = (b * (~self.idler_mask).astype(float)) @ b.conj().T
-        p.flags.writeable = False
-        return p
+        return self._signal[0]
 
     @property
     def idler_indices(self) -> np.ndarray:
@@ -77,7 +76,8 @@ def from_matrix(
     basis_label: str = "a",
     meta: dict | None = None,
 ) -> Generator:
-    """Wrap a Hermitian matrix with its ascending eigendecomposition; ``signal_tol`` lies in [0, 1)."""
+    """Wrap a Hermitian matrix, or a stack of them on leading axes, with its
+    ascending eigendecomposition; ``signal_tol`` lies in [0, 1)."""
     if not 0.0 <= signal_tol < 1.0:  # also rejects NaN
         raise InputError(f"signal_tol must be a number in [0, 1), got {signal_tol!r}")
     g_matrix = matkernel.require_hermitian(np.asarray(g_matrix, dtype=complex), name="G")
@@ -89,7 +89,7 @@ def from_matrix(
 
 def signal_projector(gen: Generator) -> np.ndarray:
     """Projector onto the span of eigenvectors with nonzero eigenvalue, cached read-only on ``gen``."""
-    return gen._signal_projector
+    return gen._signal[1]
 
 
 @dataclass(frozen=True)

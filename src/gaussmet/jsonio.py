@@ -65,7 +65,9 @@ def state_from_dict(obj: dict) -> GaussianPureState:
             raise InputError(f"invalid state field: n_modes must be an integer, got {n_modes!r}")
         beta = _parse_array(obj["beta"], "beta", 2)
         f = _parse_array(obj["f"], "f", 3)
-        label = str(obj.get("basis_label", "a"))
+        label = obj.get("basis_label", "a")
+        if type(label) is not str:  # not 7 or null
+            raise InputError(f"invalid state field: basis_label must be a string, got {label!r}")
     except KeyError as exc:
         raise InputError(f"state file missing field: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -83,7 +85,10 @@ def generator_to_dict(gen: Generator) -> dict:
 def generator_from_dict(obj: dict) -> Generator:
     try:
         g = _parse_array(obj["G"], "G", 3)
-        tol = float(obj.get("signal_tol", DEFAULT_SIGNAL_TOL))
+        tol = obj.get("signal_tol", DEFAULT_SIGNAL_TOL)
+        if type(tol) not in (int, float):  # not "0.5", false or null
+            raise InputError(f"invalid generator field: signal_tol must be a number, got {tol!r}")
+        tol = float(tol)
     except KeyError as exc:
         raise InputError("generator file missing field 'G'") from exc
     except (TypeError, ValueError, OverflowError) as exc:

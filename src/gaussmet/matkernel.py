@@ -3,7 +3,8 @@ factorizations of complex symmetric matrices, and unitary exponentials.
 
 Every routine validates its input against the max-norm relative tolerance
 ``DEFAULT_TOL`` (1e-10) and produces deterministic output for identical input,
-including inside degenerate eigenvalue or singular-value clusters.
+including inside degenerate eigenvalue or singular-value clusters. The
+checks and ``_hermitian_eig`` treat each matrix of a stack as if alone.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _require_self_transpose(a: np.ndarray, name: str, conj: bool) -> np.ndarray:
-    """``a`` averaged with its transpose (conjugated if ``conj``), after
-    checking that it is square and within DEFAULT_TOL of that transpose."""
+    """``a`` averaged with its transpose (conjugated if ``conj``), after checking that
+    each matrix is square and within DEFAULT_TOL of that transpose, relative to its own scale."""
     a = require_finite(a, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
-    at = a.conj().T if conj else a.T
-    dev = max_norm(a - at)
-    if dev > DEFAULT_TOL * max(1.0, max_norm(a)):
-        raise InputError(f"{name} deviates from {'Hermitian' if conj else 'symmetric'} by {dev:.3e}")
+    at = a.conj().mT if conj else a.mT
+    dev = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
+    bad = dev > DEFAULT_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    if bad.any():
+        raise InputError(f"{name} deviates from {'Hermitian' if conj else 'symmetric'} by {dev[bad].max():.3e}")
     return (a + at) / 2.0
 
 
@@ -53,9 +55,9 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _require_unitary(v: np.ndarray, name: str) -> None:
-    """The package's one unitarity rule: max|v^dag v - I| <= DEFAULT_TOL * M."""
-    m = v.shape[0]
-    dev = max_norm(v.conj().T @ v - np.eye(m))
+    """The package's one unitarity rule: max|v^dag v - I| <= DEFAULT_TOL * M, for each matrix of a stack."""
+    m = v.shape[-1]
+    dev = max_norm(v.conj().mT @ v - np.eye(m))
     if dev > DEFAULT_TOL * m:
         raise InputError(f"{name} deviates from unitary by {dev:.3e}")
 
@@ -79,13 +81,11 @@ class TakagiFactorization:
     r: np.ndarray
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude entry is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    ph = v[k]
-    if abs(ph) == 0.0:
-        return v
-    return v * (abs(ph) / ph)
+def _fix_phases(u: np.ndarray) -> np.ndarray:
+    """Rotate each column of ``u``, a matrix or a stack, so its largest-magnitude entry is real positive."""
+    k = np.abs(u).argmax(axis=-2)  # the row of each column's largest entry
+    ph = u[(*np.indices(k.shape, sparse=True)[:-1], k, np.arange(u.shape[-1]))]
+    return u * (np.hypot(ph.real, ph.imag) / ph)[..., None, :]  # hypot rounds as a scalar abs() does; np.abs may not
 
 
 def _cluster_slices(values: np.ndarray, gap: float) -> list[slice]:
@@ -115,10 +115,10 @@ def _pivoted_basis(subspace: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(candidates, axis=0)
         j = int(np.argmax(norms))
         v = candidates[:, j] / norms[j]
-        chosen.append(_fix_phase(v))
+        chosen.append(v)
         # deflate remaining candidates
         candidates = candidates - np.outer(v, v.conj() @ candidates)
-    return np.column_stack(chosen)
+    return _fix_phases(np.column_stack(chosen))
 
 
 def hermitian_eig(a: np.ndarray) -> HermitianEig:
@@ -132,18 +132,21 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
 
 
 def _hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """:func:`hermitian_eig` of a matrix require_hermitian has returned."""
+    """:func:`hermitian_eig` of a matrix or stack require_hermitian returned; only clusters loop in Python."""
     w, u = np.linalg.eigh(a)
-    gap = 1e-9 * max(1.0, max_norm(a))
-    cols = []
-    for sl in _cluster_slices(w, gap):
-        block = u[:, sl]
-        if block.shape[1] == 1:
-            cols.append(_fix_phase(block[:, 0]))
-        else:
-            basis = _pivoted_basis(block)
-            cols.extend(basis.T)
-    return HermitianEig(eigvals=w, U=np.column_stack(cols))
+    gap = 1e-9 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    split = w[..., 1:] - w[..., :-1] >= gap[..., None]  # split[..., k]: a cluster ends at k
+    isolated = np.ones(w.shape, dtype=bool)
+    isolated[..., 1:] = split
+    isolated[..., :-1] &= split
+    if isolated.all():
+        return HermitianEig(eigvals=w, U=_fix_phases(u))
+    u = np.where(isolated[..., None, :], _fix_phases(u), u)
+    for idx in map(tuple, np.argwhere(~isolated.all(axis=-1))):
+        for sl in _cluster_slices(w[idx], gap[idx]):
+            if sl.stop - sl.start > 1:
+                u[idx + (slice(None), sl)] = _pivoted_basis(u[idx + (slice(None), sl)])
+    return HermitianEig(eigvals=w, U=u)
 
 
 def takagi(f: np.ndarray) -> TakagiFactorization:

@@ -4,7 +4,9 @@ Evaluates the exact pure-Gaussian-state QFI of a passive mode transform,
 the resource triple (signal photon number, generator-intensity mean and
 variance), the resource upper bound on the QFI, the underlying trace
 inequality, and asymptotic optimality coefficients fitted from a family
-of probes.
+of probes. The kernels take stacks: a probe and a generator with the same
+leading axes are evaluated in one pass, and the results carry those axes.
+A scalar call is a stack of one, with no leading axes, and returns Python numbers.
 
 All quantities are evaluated in the basis where the state is a product of
 single-mode displaced squeezed vacua; callers pass arbitrary states, and
@@ -56,12 +58,17 @@ class QfiReport:
     bound_satisfied: bool
 
 
+def _scalar(x):
+    """A result with no leading axes as a Python number; a stacked one as it is."""
+    return x.item() if x.ndim == 0 else x
+
+
 def build_workspace(d: DisentangledForm, g: np.ndarray) -> np.ndarray:
     """Generator matrix g in the probe's product basis: V^dag g V, made Hermitian."""
-    if d.n_modes != g.shape[0]:
-        raise InputError(f"state has {d.n_modes} modes but generator has {g.shape[0]}")
-    gt = d.V.conj().T @ g @ d.V
-    return (gt + gt.conj().T) / 2.0
+    if d.n_modes != g.shape[-1]:
+        raise InputError(f"state has {d.n_modes} modes but generator has {g.shape[-1]}")
+    gt = d.V.conj().mT @ g @ d.V
+    return (gt + gt.conj().mT) / 2.0
 
 
 def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
@@ -77,19 +84,22 @@ def resources(d: DisentangledForm, gen: Generator) -> ResourceTriple:
     round-off of P, (M eps)^2, times the total photon number: such an N_S
     is the eigenvectors' error, not signal photons.
     """
-    gt = build_workspace(d, gen.G)
+    return _resources(d, build_workspace(d, gen.G), build_workspace(d, signal_projector(gen)))
+
+
+def _resources(d: DisentangledForm, gt: np.ndarray, pt: np.ndarray) -> ResourceTriple:
+    """:func:`resources` from gt and pt, :func:`build_workspace` of G and of its signal projector."""
     s2 = np.sinh(d.r) ** 2
-    pt = d.V.conj().T @ signal_projector(gen) @ d.V
-    n_signal = float(((np.abs(pt) ** 2).sum(axis=0) * s2).sum() + (np.abs(pt @ d.alpha) ** 2).sum())
-    n_total = s2.sum() + np.vdot(d.alpha, d.alpha).real
-    if n_signal <= (d.n_modes * _EPS) ** 2 * n_total:
-        return ResourceTriple(n_signal=0.0, g_mean=0.0, g_var=0.0, well_defined=False)
-    first = float(((gt.diagonal().real * s2).sum() + d.alpha.conj() @ gt @ d.alpha).real)
-    g_mean = first / n_signal
-    h = gt - g_mean * pt
-    g_var = float(((np.abs(h) ** 2).sum(axis=0) * s2).sum() + (np.abs(h @ d.alpha) ** 2).sum())
-    g_var /= n_signal
-    return ResourceTriple(n_signal=n_signal, g_mean=g_mean, g_var=g_var)
+    alpha = d.alpha[..., None]
+    n_signal = ((np.abs(pt) ** 2).sum(axis=-2) * s2).sum(-1) + (np.abs(pt @ alpha) ** 2).sum((-2, -1))
+    n_total = s2.sum(-1) + np.vecdot(d.alpha, d.alpha).real
+    defined = ~(n_signal <= (d.n_modes * _EPS) ** 2 * n_total)
+    norm = n_signal + ~defined  # n_signal where defined; where not, about 1, and the entries are zeroed below
+    first = (gt.diagonal(axis1=-2, axis2=-1).real * s2).sum(-1) + (alpha.conj().mT @ gt @ alpha)[..., 0, 0].real
+    g_mean = first / norm
+    h = gt - g_mean[..., None, None] * pt
+    g_var = (((np.abs(h) ** 2).sum(axis=-2) * s2).sum(-1) + (np.abs(h @ alpha) ** 2).sum((-2, -1))) / norm
+    return ResourceTriple(*map(_scalar, (*np.where(defined, (n_signal, g_mean, g_var), 0.0), defined)))
 
 
 def qfi_upper_bound(res: ResourceTriple) -> float:
@@ -97,21 +107,20 @@ def qfi_upper_bound(res: ResourceTriple) -> float:
 
     The quadratic coefficient holds for every pure Gaussian probe; the
     linear term is the zero-displacement tight form, which the randomized
-    suites also validate on displaced states.
+    suites also validate on displaced states. Undefined resources are
+    zero, and so is their bound.
     """
-    if not res.well_defined:
-        return 0.0
     n, g2, d2 = res.n_signal, res.g_mean**2, res.g_var
     return (8.0 * g2 + 4.0 * d2) * n**2 + 8.0 * (g2 + d2) * n
 
 
 def _qfi_value(d: DisentangledForm, gt: np.ndarray) -> float:
     """The QFI sum of :func:`qfi`, from gt = :func:`build_workspace` (d, G)."""
-    r = d.r
-    w = gt.real * np.sinh(r[:, None] + r) + 1j * gt.imag * np.sinh(r - r[:, None])
-    g_alpha = gt @ d.alpha
-    u = np.exp(r) * g_alpha.real + 1j * np.exp(-r) * g_alpha.imag
-    return 4.0 * float(0.5 * np.sum(np.abs(w) ** 2) + np.sum(np.abs(u) ** 2))
+    r = d.r[..., None, :]
+    w = gt.real * np.sinh(r.mT + r) + 1j * gt.imag * np.sinh(r - r.mT)
+    g_alpha = (gt @ d.alpha[..., None])[..., 0]
+    u = np.exp(d.r) * g_alpha.real + 1j * np.exp(-d.r) * g_alpha.imag
+    return _scalar(4.0 * (0.5 * np.sum(np.abs(w) ** 2, axis=(-2, -1)) + np.sum(np.abs(u) ** 2, axis=-1)))
 
 
 def qfi(d: DisentangledForm, gen: Generator) -> QfiReport:
@@ -129,16 +138,11 @@ def qfi(d: DisentangledForm, gen: Generator) -> QfiReport:
     rotation gives exactly zero at any r. The report also carries the
     resource triple and the bound check.
     """
-    value = _qfi_value(d, build_workspace(d, gen.G))
-    res = resources(d, gen)
-    bound = qfi_upper_bound(res)
-    satisfied = value <= bound + 1e-9 * max(1.0, bound)
-    return QfiReport(
-        qfi=value,
-        resources=res,
-        bound=bound,
-        bound_satisfied=satisfied,
-    )
+    gt = build_workspace(d, gen.G)
+    res = _resources(d, gt, build_workspace(d, signal_projector(gen)))
+    value, bound = _qfi_value(d, gt), qfi_upper_bound(res)
+    satisfied = _scalar(value <= bound + 1e-9 * np.maximum(1.0, bound))
+    return QfiReport(qfi=value, resources=res, bound=bound, bound_satisfied=satisfied)
 
 
 def lemma2_gap(h: np.ndarray, q: np.ndarray) -> float:
@@ -152,15 +156,16 @@ def lemma2_gap(h: np.ndarray, q: np.ndarray) -> float:
     q = matkernel.require_hermitian(np.asarray(q, dtype=complex), name="Q")
     if h.shape != q.shape:
         raise InputError("H and Q must have equal shape")
-    min_eig = float(np.min(np.linalg.eigvalsh(q)))
-    if min_eig < -matkernel.DEFAULT_TOL * max(1.0, matkernel.max_norm(q)):
-        raise InputError(f"Q has eigenvalue {min_eig:.3e} below PSD tolerance")
+    min_eig = np.linalg.eigvalsh(q).min(axis=-1)
+    low = min_eig < -matkernel.DEFAULT_TOL * np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
+    if low.any():
+        raise InputError(f"Q has eigenvalue {min_eig[low].min():.3e} below PSD tolerance")
     hq = h @ q
-    tr_hq = float(np.real(np.trace(hq)))
-    tr_h2q = float(np.real(np.trace(h @ hq)))
-    tr_q = float(np.real(np.trace(q)))
-    tr_hqhq = float(np.real(np.trace(hq @ hq)))
-    return 4.0 * tr_hq**2 + 4.0 * tr_h2q * tr_q - 8.0 * tr_hqhq
+    tr_hq = np.trace(hq, axis1=-2, axis2=-1).real
+    tr_h2q = np.trace(h @ hq, axis1=-2, axis2=-1).real
+    tr_q = np.trace(q, axis1=-2, axis2=-1).real
+    tr_hqhq = np.trace(hq @ hq, axis1=-2, axis2=-1).real
+    return _scalar(4.0 * tr_hq**2 + 4.0 * tr_h2q * tr_q - 8.0 * tr_hqhq)
 
 
 ProbeBuilder = Callable[[float, float, float], "tuple[DisentangledForm, Generator]"]

@@ -13,7 +13,9 @@ derivative_displaced (2, 4), idler_assisted (8, 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -60,10 +62,21 @@ class ProbeSpec:
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """A built probe. Its resources against ``gen`` and its closed-form QFI,
+    ``predict`` of those resources, are evaluated on first read."""
+
     state: DisentangledForm
-    achieved: metrology.ResourceTriple
+    gen: Generator = field(repr=False)
     eigen_residual: float
-    predicted_qfi: float
+    predict: Callable[[metrology.ResourceTriple], float] = field(repr=False)
+
+    @cached_property
+    def achieved(self) -> metrology.ResourceTriple:
+        return metrology.resources(self.state, self.gen)
+
+    @cached_property
+    def predicted_qfi(self) -> float:
+        return self.predict(self.achieved)
 
 
 def _nearest_signal_index(gen: Generator, value: float, taken: set[int]) -> int:
@@ -186,12 +199,8 @@ def _build_two_mode(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...] | No
             r[b], phases[b] = r[a], phases[a]
         v = v @ bs
     state = DisentangledForm(V=v @ _phase_diag(m, phases), alpha=np.zeros(m, dtype=complex), r=r)
-    return ProbeResult(
-        state=state,
-        achieved=metrology.resources(state, gen),
-        eigen_residual=residual,
-        predicted_qfi=8.0 * (g[i] ** 2 * si2 * (si2 + 1.0) + g[j] ** 2 * sj2 * (sj2 + 1.0)),
-    )
+    predicted = 8.0 * (g[i] ** 2 * si2 * (si2 + 1.0) + g[j] ** 2 * sj2 * (sj2 + 1.0))
+    return ProbeResult(state=state, gen=gen, eigen_residual=residual, predict=lambda _: predicted)
 
 
 def _build_mean_optimal(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...] | None) -> ProbeResult:
@@ -210,13 +219,10 @@ def _build_mean_optimal(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...] 
     r = np.zeros(m)
     r[0] = np.arcsinh(np.sqrt(spec.n_signal))
     state = DisentangledForm(V=v, alpha=np.zeros(m, dtype=complex), r=r)
-    achieved = metrology.resources(state, gen)
-    n, g2, d2 = achieved.n_signal, achieved.g_mean**2, achieved.g_var
-    # exact for a single squeezed mode: 8 gbar^2 N (N+1) + 4 dg^2 N
-    predicted = 8.0 * g2 * n * (n + 1.0) + 4.0 * d2 * n
-    return ProbeResult(
-        state=state, achieved=achieved, eigen_residual=0.0, predicted_qfi=predicted
-    )
+    def predict(res):  # exact for a single squeezed mode: 8 gbar^2 N (N+1) + 4 dg^2 N
+        return 8.0 * res.g_mean**2 * res.n_signal * (res.n_signal + 1.0) + 4.0 * res.g_var * res.n_signal
+
+    return ProbeResult(state=state, gen=gen, eigen_residual=0.0, predict=predict)
 
 
 def _build_derivative_displaced(spec: ProbeSpec, gen: Generator, modes: tuple[int, ...]) -> ProbeResult:
@@ -251,12 +257,7 @@ def _build_derivative_displaced(spec: ProbeSpec, gen: Generator, modes: tuple[in
         + 2.0 * g01**2 * half * sc
         + col_extra * s2
     )
-    return ProbeResult(
-        state=state,
-        achieved=metrology.resources(state, gen),
-        eigen_residual=0.0,
-        predicted_qfi=predicted,
-    )
+    return ProbeResult(state=state, gen=gen, eigen_residual=0.0, predict=lambda _: predicted)
 
 
 def build_probe(spec: ProbeSpec, gen: Generator) -> ProbeResult:

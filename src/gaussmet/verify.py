@@ -1,9 +1,10 @@
 """Randomized verification suites: resource bound, Fock oracle, trace
 inequality.
 
-Trials run one after another in the calling thread; each derives its
-own RNG stream from (seed + trial index), so any trial reproduces on its
-own.
+Trial k draws its inputs, in order, from its own RNG stream seeded with
+seed + k, so any trial reproduces on its own. The bound and trace-inequality
+suites then evaluate their trials grouped by mode count, one stacked pass
+per group, which gives each trial the value it has alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import focksim, metrology
 from .errors import InputError, TailTooLargeError
 from .gaussian import DisentangledForm
-from .generator import Generator, from_matrix
+from .generator import from_matrix
 
 
 @dataclass(frozen=True)
@@ -38,43 +39,57 @@ def _require_run(trials: int, seed: int) -> None:
         raise InputError(f"seed must be non-negative, got {seed}")
 
 
-def _least(name: str, trials: int, values: list[float], what: str, seed: int) -> SuiteReport:
+def _least(name: str, trials: int, values: np.ndarray, what: str, seed: int) -> SuiteReport:
     """Report of a suite that passes when every value is at least -1e-9."""
     k = int(np.argmin(values))  # the first trial attaining the minimum
     summary = f"min {what} {values[k]:.3e} (requirement >= -1e-9){_at(k, seed)}"
-    return SuiteReport(name=name, trials=trials, passed=values[k] >= -1e-9, summary=summary)
+    return SuiteReport(name=name, trials=trials, passed=bool(values[k] >= -1e-9), summary=summary)
+
+
+def _gaussian(rng: np.random.Generator, m: int) -> np.ndarray:
+    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+
+def _unitary(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices z, stacked on leading axes."""
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
-    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _unitary(_gaussian(rng, m))
 
 
 def random_hermitian(rng: np.random.Generator, m: int) -> np.ndarray:
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    a = _gaussian(rng, m)
     return (a + a.conj().T) / 2.0
 
 
-def random_state(rng: np.random.Generator, m: int, r_max: float = 2.0,
-                 alpha_scale: float = 1.0) -> DisentangledForm:
-    r = rng.uniform(0.0, r_max, m) * rng.integers(0, 2, m)
-    alpha = alpha_scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return DisentangledForm(V=random_unitary(rng, m), alpha=alpha, r=r)
+def _grouped(trials: int, seed: int, m_max: int, draw) -> list[list[np.ndarray]]:
+    """Trial indices and stacked draws of each mode count m; trial k draws
+    m in [1, m_max], then the tuple ``draw(rng, m)``, from ``default_rng(seed + k)``."""
+    groups: dict[int, list[tuple]] = {}
+    for k in range(trials):
+        rng = np.random.default_rng(seed + k)
+        m = int(rng.integers(1, m_max + 1))
+        groups.setdefault(m, []).append((k, *draw(rng, m)))
+    return [[np.array(a) for a in zip(*rows)] for rows in groups.values()]
 
 
 def suite_bound(trials: int, seed: int) -> SuiteReport:
     """QFI never exceeds the resource bound on random states/generators."""
     _require_run(trials, seed)
-    margins = []
-    for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        m = int(rng.integers(1, 9))
-        gen = from_matrix(random_hermitian(rng, m))
-        d = random_state(rng, m)
-        report = metrology.qfi(d, gen)
-        scale = max(1.0, report.bound)
-        margins.append((report.bound - report.qfi) / scale)
+    def draw(rng, m):  # generator, squeezing, displacement, and the Gaussian matrix of the mode unitary
+        h = random_hermitian(rng, m)
+        r = rng.uniform(0.0, 2.0, m) * rng.integers(0, 2, m)
+        alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        return h, r, alpha, _gaussian(rng, m)
+
+    margins = np.empty(trials)
+    for ks, h, r, alpha, z in _grouped(trials, seed, 8, draw):
+        report = metrology.qfi(DisentangledForm(V=_unitary(z), alpha=alpha, r=r), from_matrix(h))
+        margins[ks] = (report.bound - report.qfi) / np.maximum(1.0, report.bound)
     return _least("bound", trials, margins, "relative bound margin", seed)
 
 
@@ -135,17 +150,15 @@ def suite_oracle(trials: int, seed: int) -> SuiteReport:
 def suite_lemma2(trials: int, seed: int) -> SuiteReport:
     """The trace inequality holds on random Hermitian/PSD pairs."""
     _require_run(trials, seed)
-    gaps = []
-    for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        m = int(rng.integers(1, 11))
-        h = random_hermitian(rng, m)
-        w = random_unitary(rng, m)
-        q = (w * rng.chisquare(2.0, m)) @ w.conj().T
-        q = (q + q.conj().T) / 2.0
-        gap = metrology.lemma2_gap(h, q)
-        scale = max(1.0, abs(gap))
-        gaps.append(gap / scale)
+    def draw(rng, m):  # H, then Q's eigenvectors (as the Gaussian matrix they come from) and eigenvalues
+        return random_hermitian(rng, m), _gaussian(rng, m), rng.chisquare(2.0, m)
+
+    gaps = np.empty(trials)
+    for ks, h, z, eigvals in _grouped(trials, seed, 10, draw):
+        w = _unitary(z)
+        q = (w * eigvals[:, None, :]) @ w.conj().mT
+        gap = metrology.lemma2_gap(h, (q + q.conj().mT) / 2.0)
+        gaps[ks] = gap / np.maximum(1.0, np.abs(gap))
     return _least("lemma2", trials, gaps, "gap", seed)
 
 

@@ -588,6 +588,9 @@ _BAD_INPUT_FILES = {
     "fractional-n-modes": (_state(n_modes="2.7"), None, "n_modes must be an integer"),
     "string-n-modes": (_state(n_modes='"2"'), None, "n_modes must be an integer"),
     "boolean-n-modes": (_state(n_modes="true"), None, "n_modes must be an integer"),
+    "string-signal-tol": (None, _gen(tail=', "signal_tol": "0.5"'), "signal_tol must be a number"),
+    "boolean-signal-tol": (None, _gen(tail=', "signal_tol": false'), "signal_tol must be a number"),
+    "numeric-basis-label": (_state()[:-1] + ', "basis_label": 7}', None, "basis_label must be a string"),
 }
 
 

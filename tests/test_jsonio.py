@@ -1,11 +1,13 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaussmet import gaussian, generator, jsonio, optimal, verify
+from gaussmet.errors import InputError
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                 float("nan"), float("inf"), float("-inf")]
@@ -158,3 +160,31 @@ def test_state_and_generator_file_bytes_pinned(tmp_path):
     assert np.signbit(loaded.beta[0].imag) and loaded.f[0, 1].imag == 5e-324
     jsonio.dump_json(jsonio.generator_to_dict(generator.from_matrix(np.array([[1.0 + 0j]]))), str(path))
     assert path.read_bytes() == _GENERATOR_TEXT.encode()
+
+
+_GEN_DICT = {"G": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+_STATE_DICT = {"n_modes": 1, "beta": [[0.5, 0.0]], "f": [[[0.25, 0.0]]]}
+
+
+@pytest.mark.parametrize("tol", ["0.5", False, True, None, [0.5], {"v": 0.5}])
+def test_generator_from_dict_requires_a_number_for_signal_tol(tol):
+    with pytest.raises(InputError, match="signal_tol must be a number"):
+        jsonio.generator_from_dict({**_GEN_DICT, "signal_tol": tol})
+
+
+@pytest.mark.parametrize("tol", [0, 0.5, 1e-12])
+def test_generator_from_dict_reads_integer_and_float_signal_tol(tol):
+    gen = jsonio.generator_from_dict({**_GEN_DICT, "signal_tol": tol})
+    assert gen.signal_tol == tol and type(gen.signal_tol) is float
+    assert gen.idler_mask.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("label", [7, 2.5, None, True, ["a"]])
+def test_state_from_dict_requires_a_string_for_basis_label(label):
+    with pytest.raises(InputError, match="basis_label must be a string"):
+        jsonio.state_from_dict({**_STATE_DICT, "basis_label": label})
+
+
+def test_state_from_dict_keeps_string_basis_label():
+    assert jsonio.state_from_dict({**_STATE_DICT, "basis_label": "b"}).basis_label == "b"
+    assert jsonio.state_from_dict(_STATE_DICT).basis_label == "a"

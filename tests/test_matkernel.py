@@ -181,3 +181,48 @@ def test_unitary_exp_semigroup():
         lhs = matkernel.unitary_exp(h, a) @ matkernel.unitary_exp(h, b)
         rhs = matkernel.unitary_exp(h, a + b)
         assert matkernel.max_norm(lhs - rhs) < 1e-9
+
+
+def _eig_by_columns(a):
+    """Reference: the eigendecomposition with each isolated eigenvector's phase fixed alone."""
+    w, u = np.linalg.eigh(a)
+    cols = []
+    for sl in matkernel._cluster_slices(w, 1e-9 * max(1.0, matkernel.max_norm(a))):
+        if sl.stop - sl.start == 1:
+            v = u[:, sl.start]
+            ph = v[int(np.argmax(np.abs(v)))]
+            cols.append(v * (abs(ph) / ph))
+        else:
+            cols.extend(matkernel._pivoted_basis(u[:, sl]).T)
+    return w, np.column_stack(cols)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_stacked_hermitian_eig_matches_each_matrix_alone(m):
+    rng = np.random.default_rng(40 + m)
+    w = random_unitary(rng, m)
+    spectrum = np.where(np.arange(m) < 2, 1.5, np.arange(m) - 0.5)  # eigenvalue 1.5 twice when m > 1
+    mats = [random_hermitian(rng, m) for _ in range(4)]
+    mats += [(w * spectrum) @ w.conj().T, np.zeros((m, m), complex), random_hermitian(rng, m)]
+    stacked = generator.from_matrix(np.array(mats))
+    assert stacked.eig.eigvals.shape == (len(mats), m) and stacked.n_modes == m
+    for b, a in enumerate(mats):
+        alone = generator.from_matrix(a)
+        assert stacked.G[b].tobytes() == alone.G.tobytes()
+        assert stacked.eig.eigvals[b].tobytes() == alone.eig.eigvals.tobytes()
+        assert stacked.eig.U[b].tobytes() == alone.eig.U.tobytes()
+        ref_w, ref_u = _eig_by_columns(alone.G)
+        assert ref_w.tobytes() == alone.eig.eigvals.tobytes() and ref_u.tobytes() == alone.eig.U.tobytes()
+        assert np.array_equal(stacked.idler_mask[b], alone.idler_mask)
+        assert generator.signal_projector(stacked)[b].tobytes() == generator.signal_projector(alone).tobytes()
+    assert stacked.idler_mask[-2].all() and not generator.signal_projector(stacked)[-2].any()  # the zero matrix
+
+
+def test_stacked_checks_judge_each_matrix_by_its_own_scale():
+    small = np.array([[0.0, 2e-10], [0.0, 0.0]], complex)  # deviates by 2e-10 at scale 1
+    big = np.array([[1e3, 0.0], [0.0, 0.0]], complex)
+    matkernel.require_hermitian(small / 4)
+    with pytest.raises(InputError, match="deviates from Hermitian by 2.000e-10"):
+        matkernel.require_hermitian(np.array([big, small]))
+    with pytest.raises(InputError, match="deviates from unitary"):
+        gaussian.DisentangledForm(V=np.array([np.eye(2), 1.1 * np.eye(2)]), alpha=np.zeros((2, 2)), r=np.zeros((2, 2)))

@@ -10,7 +10,13 @@ from gaussmet import generator, metrology, scenarios
 from gaussmet.errors import InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.metrology import ResourceTriple
-from gaussmet.verify import random_hermitian, random_state, random_unitary
+from gaussmet.verify import random_hermitian, random_unitary
+
+
+def random_state(rng, m, r_max=2.0, alpha_scale=1.0):
+    r = rng.uniform(0.0, r_max, m) * rng.integers(0, 2, m)
+    alpha = alpha_scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return DisentangledForm(V=random_unitary(rng, m), alpha=alpha, r=r)
 
 
 def _eigenbasis_state(g_vals, s_sq, alpha=None):

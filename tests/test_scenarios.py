@@ -411,6 +411,17 @@ def test_run_scenario_builds_each_generator_once_per_matrix(monkeypatch):
     assert len(set(built)) == len(built) and 3 <= len(built) <= 2 + len(set(sweep["n_signal"]))
 
 
+def test_run_scenario_evaluates_resources_once_per_probe(monkeypatch):
+    calls = []
+    kernel = metrology._resources
+    monkeypatch.setattr(metrology, "_resources", lambda *args: calls.append(1) or kernel(*args))
+    pair = RegularizedModePair(center_z=(3.0, -1.0), center_p=(8.0, 2.0), sigma_z=0.8, r=(0.5, 0.5))
+    sweep = {"n_signal": [0.5, 4.0, 30.0], "eta": [1.0, 0.75]}
+    rows = scenarios.run_scenario(ScenarioConfig(kind="time_shift", pair=pair, n_signal=4.0, sweep=sweep))
+    assert len(rows) == 5 * 3 * 2
+    assert len(calls) == 5 * 3  # one per (kind, N) probe, whatever the number of eta values
+
+
 @pytest.mark.parametrize("bad_eta", [0.0, -0.2, 1.5])
 @pytest.mark.parametrize("eigenmode_pass_fails", [False, True])
 def test_run_scenario_rejects_eta_outside_unit_interval(bad_eta, eigenmode_pass_fails, monkeypatch):

@@ -1,0 +1,60 @@
+import numpy as np
+import pytest
+
+from gaussmet import metrology, verify
+from gaussmet.gaussian import DisentangledForm
+from gaussmet.generator import from_matrix
+
+
+@pytest.fixture
+def suite_values(monkeypatch):
+    """Run a suite; return the per-trial values it hands to its report, and the report."""
+    seen = []
+    least = verify._least
+    monkeypatch.setattr(verify, "_least", lambda name, n, values, *rest: seen.append(values) or least(name, n, values, *rest))
+
+    def run(suite, trials, seed):
+        report = verify.SUITES[suite](trials, seed)
+        return seen.pop(), report
+
+    return run
+
+
+def _bound_alone(k, seed):
+    """Trial k of the bound suite, drawn and evaluated alone through the public calls."""
+    rng = np.random.default_rng(seed + k)
+    m = int(rng.integers(1, 9))
+    gen = from_matrix(verify.random_hermitian(rng, m))
+    r = rng.uniform(0.0, 2.0, m) * rng.integers(0, 2, m)
+    alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    report = metrology.qfi(DisentangledForm(V=verify.random_unitary(rng, m), alpha=alpha, r=r), gen)
+    return (report.bound - report.qfi) / max(1.0, report.bound)
+
+
+def _lemma2_alone(k, seed):
+    rng = np.random.default_rng(seed + k)
+    m = int(rng.integers(1, 11))
+    h = verify.random_hermitian(rng, m)
+    w = verify.random_unitary(rng, m)
+    q = (w * rng.chisquare(2.0, m)) @ w.conj().T
+    gap = metrology.lemma2_gap(h, (q + q.conj().T) / 2.0)
+    return gap / max(1.0, abs(gap))
+
+
+@pytest.mark.parametrize("suite, alone", [("bound", _bound_alone), ("lemma2", _lemma2_alone)])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_stacked_suite_values_match_public_calls(suite_values, suite, alone, seed):
+    values, report = suite_values(suite, 120, seed)
+    reference = np.array([alone(k, seed) for k in range(120)])
+    assert np.abs(values - reference).max() <= 1e-15
+    worst = int(np.argmin(reference))
+    assert int(np.argmin(values)) == worst and f" at trial {worst} (seed {seed + worst})" in report.summary
+
+
+@pytest.mark.parametrize("suite", ["bound", "lemma2"])
+def test_trial_in_its_group_equals_the_trial_alone(suite_values, suite):
+    seed = 11
+    grouped, _ = suite_values(suite, 40, seed)
+    for k in range(40):
+        single, _ = suite_values(suite, 1, seed + k)
+        assert single[0].tobytes() == grouped[k].tobytes()
