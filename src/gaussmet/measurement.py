@@ -242,8 +242,8 @@ def direct_detection_fi(
 
 
 def _direct_fi(d: DisentangledForm, gen: Generator, g_mean: float) -> float:
-    """:func:`direct_detection_fi`, given the probe's resource mean ``g_mean``; warns nothing."""
-    shifted = gen.G - g_mean * signal_projector(gen)
+    """:func:`direct_detection_fi` given the resource mean ``g_mean``, one per probe of a stack; warns nothing."""
+    shifted = gen.G - np.asarray(g_mean)[..., None, None] * signal_projector(gen)
     return metrology._qfi_value(d, metrology.build_workspace(d, shifted))
 
 

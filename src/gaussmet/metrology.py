@@ -110,8 +110,8 @@ def qfi_upper_bound(res: ResourceTriple) -> float:
     suites also validate on displaced states. Undefined resources are
     zero, and so is their bound.
     """
-    n, g2, d2 = res.n_signal, res.g_mean**2, res.g_var
-    return (8.0 * g2 + 4.0 * d2) * n**2 + 8.0 * (g2 + d2) * n
+    n, g2, d2 = res.n_signal, res.g_mean * res.g_mean, res.g_var  # products: a float's ** rounds as C pow
+    return (8.0 * g2 + 4.0 * d2) * (n * n) + 8.0 * (g2 + d2) * n
 
 
 def _qfi_value(d: DisentangledForm, gt: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import measurement, metrology, optimal
+from . import matkernel, measurement, metrology, optimal
 from .errors import GaussmetError, InputError, RegularizationWarning, require_finite
 from .gaussian import DisentangledForm
 from .generator import SHIFT_DOMAINS as SCENARIO_KINDS, Generator, _hg_ladder, from_matrix
@@ -238,27 +238,26 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
 
     One row per (probe kind, signal photon number, transmissivity):
     engine QFI, resource bound, auto-phase homodyne FI at the given
-    transmissivity, and direct-detection FI. Homodyne entries are NaN for
+    transmissivity, and direct-detection FI. One stacked engine pass gives
+    every cell its per-probe value; homodyne entries, per probe, are NaN for
     probes with no squeezed mode and for families the eigenmode homodyne
     formulas do not cover (displaced or off-eigenbasis probes).
     """
     gbar, dg = _scenario_targets(cfg)
     ns_values = cfg.sweep.get("n_signal", [cfg.n_signal])
     etas = cfg.sweep.get("eta", [1.0])
-    rows = []
     built = {}  # generators by their matrix's bytes: most families' matrices do not change with N
 
     def build(g: np.ndarray) -> Generator:
-        key = g.tobytes()
-        if key not in built:
+        if (key := g.tobytes()) not in built:
             built[key] = from_matrix(g)
         return built[key]
 
+    probes, homodyne = [], []
     for kind in TABLE_KINDS:
         for n_signal in ns_values:
             state, gen = table_probe(kind, float(n_signal), gbar, dg, build)
-            report = metrology.qfi(state, gen)
-            direct = measurement._direct_fi(state, gen, report.resources.g_mean)
+            probes.append((kind, state, gen))
             modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])
             try:  # the eigenmode pass depends on the probe alone, not on eta
                 data = measurement._eigenmode_data(state, gen, modes) if modes else None
@@ -267,18 +266,19 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
             for eta in etas:
                 # the setup is built, and checks eta, whenever the probe has squeezed modes
                 setup = measurement.HomodyneSetup(mode_indices=modes, eta=float(eta)) if modes else None
-                hom = measurement._homodyne_result(*data, setup).fi if data else float("nan")
-                rows.append(
-                    {
-                        "probe_kind": kind,
-                        "n_signal": report.resources.n_signal,
-                        "g_mean": report.resources.g_mean,
-                        "g_sd": float(np.sqrt(report.resources.g_var)),
-                        "eta": float(eta),
-                        "qfi": report.qfi,
-                        "bound": report.bound,
-                        "homodyne_fi": hom,
-                        "direct_fi": direct,
-                    }
-                )
-    return rows
+                homodyne.append(measurement._homodyne_result(*data, setup).fi if data else float("nan"))
+    kinds, states, gens = zip(*probes)
+    # every family is two-mode: np.stack refuses probes of different mode counts
+    state = DisentangledForm(*(np.stack([getattr(s, a) for s in states]) for a in ("V", "alpha", "r")))
+    eig = matkernel.HermitianEig(*(np.stack([getattr(g.eig, a) for g in gens]) for a in ("eigvals", "U")))
+    gen = Generator(G=np.stack([g.G for g in gens]), eig=eig)
+    report = metrology.qfi(state, gen)
+    res, direct = report.resources, measurement._direct_fi(state, gen, report.resources.g_mean)
+    cells = (res.n_signal, res.g_mean, np.sqrt(res.g_var), report.qfi, report.bound, direct)
+    hom = iter(homodyne)
+    return [
+        {"probe_kind": kind, "n_signal": n, "g_mean": g_mean, "g_sd": g_sd, "eta": float(eta), "qfi": value,
+         "bound": bound, "homodyne_fi": next(hom), "direct_fi": direct_fi}
+        for kind, n, g_mean, g_sd, value, bound, direct_fi in zip(kinds, *(c.tolist() for c in cells))
+        for eta in etas
+    ]

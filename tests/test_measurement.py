@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmet import generator, matkernel, measurement, metrology, optimal
+from gaussmet import generator, matkernel, measurement, metrology, optimal, scenarios
 from gaussmet.errors import ConditionNotVerifiedWarning, InputError
 from gaussmet.gaussian import DisentangledForm, assemble, disentangle
 from gaussmet.generator import DiscretizationGrid
@@ -358,6 +358,21 @@ def test_direct_detection_matches_qfi_of_shifted_matrix():
         want = metrology.qfi(d, shifted).qfi
         got = measurement.direct_detection_fi(d, gen, condition_verified=True)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+
+def test_direct_fi_on_a_stack_equals_each_probe_alone():
+    # the scenario table's probes, stacked: each entry is the per-probe public call to the bit
+    probes = [
+        scenarios.table_probe(kind, n, gbar, dg)
+        for kind in scenarios.TABLE_KINDS
+        for n in (0.5, 4.0, 30.0)
+        for gbar, dg in ((5.0, 3.0), (-0.3, 1.7), (0.0, 0.4))
+    ]
+    d = DisentangledForm(*(np.stack([getattr(s, a) for s, _ in probes]) for a in ("V", "alpha", "r")))
+    gen = generator.from_matrix(np.stack([g.G for _, g in probes]))
+    got = measurement._direct_fi(d, gen, metrology.resources(d, gen).g_mean)
+    want = [measurement.direct_detection_fi(s, g, condition_verified=True) for s, g in probes]
+    assert got.shape == (len(probes),) and got.tobytes() == np.array(want).tobytes()
 
 
 def test_direct_detection_forms_no_eigendecomposition(monkeypatch):

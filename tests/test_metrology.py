@@ -291,6 +291,19 @@ def test_bound_examples():
     ) == 0.0
 
 
+def test_stacked_bound_equals_scalar_bounds_to_the_bit():
+    # a scalar call is a stack of one: Python-float squares must round as
+    # numpy's array squares do (x * x), not as C pow
+    rng = np.random.default_rng(2021)
+    n = rng.uniform(0.0, 100.0, 10**4) * 10.0 ** rng.integers(-3, 4, 10**4)
+    g_mean = rng.standard_normal(10**4) * 10.0 ** rng.integers(-3, 4, 10**4)
+    g_var = rng.uniform(0.0, 10.0, 10**4) * 10.0 ** rng.integers(-3, 4, 10**4)
+    stacked = metrology.qfi_upper_bound(ResourceTriple(n, g_mean, g_var))
+    scalar = [metrology.qfi_upper_bound(ResourceTriple(*map(float, t))) for t in zip(n, g_mean, g_var)]
+    assert all(type(b) is float for b in scalar)
+    assert stacked.tobytes() == np.array(scalar).tobytes()
+
+
 def test_zero_displacement_tight_bound():
     rng = np.random.default_rng(55)
     for _ in range(200):

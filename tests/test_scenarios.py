@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,15 +412,34 @@ def test_run_scenario_builds_each_generator_once_per_matrix(monkeypatch):
     assert len(set(built)) == len(built) and 3 <= len(built) <= 2 + len(set(sweep["n_signal"]))
 
 
-def test_run_scenario_evaluates_resources_once_per_probe(monkeypatch):
+def test_run_scenario_evaluates_resources_once_per_table(monkeypatch):
     calls = []
-    kernel = metrology._resources
-    monkeypatch.setattr(metrology, "_resources", lambda *args: calls.append(1) or kernel(*args))
+    for name in ("_resources", "qfi"):
+        kernel = getattr(metrology, name)
+        monkeypatch.setattr(metrology, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
     pair = RegularizedModePair(center_z=(3.0, -1.0), center_p=(8.0, 2.0), sigma_z=0.8, r=(0.5, 0.5))
     sweep = {"n_signal": [0.5, 4.0, 30.0], "eta": [1.0, 0.75]}
     rows = scenarios.run_scenario(ScenarioConfig(kind="time_shift", pair=pair, n_signal=4.0, sweep=sweep))
     assert len(rows) == 5 * 3 * 2
-    assert len(calls) == 5 * 3  # one per (kind, N) probe, whatever the number of eta values
+    # one stacked pass over the 15 (kind, N) probes, whatever the number of eta values
+    assert sorted(calls) == ["_resources", "qfi"]
+
+
+@pytest.mark.parametrize("kind", scenarios.SCENARIO_KINDS)
+@pytest.mark.parametrize(
+    "sweep", [{"n_signal": [4.0, 0.5, 4.0, 30.0], "eta": [0.2, 1.0]}, {}], ids=["repeated_n", "no_sweep"]
+)
+def test_run_scenario_matches_per_row_calls_on_repeated_n_and_no_sweep(kind, sweep):
+    # a photon number listed twice gives the same probe twice in the stack; with no sweep the
+    # table is the config's photon number at eta 1
+    pair = RegularizedModePair(center_z=(3.0, -1.0), center_p=(8.0, 2.0), sigma_z=0.8, r=(0.5, 0.5))
+    cfg = ScenarioConfig(kind=kind, pair=pair, n_signal=4.0, sweep=sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = scenarios.run_scenario(cfg)
+    full = {"n_signal": sweep.get("n_signal", [cfg.n_signal]), "eta": sweep.get("eta", [1.0])}
+    assert len(rows) == 5 * len(full["n_signal"]) * len(full["eta"])
+    assert repr(rows) == repr(_per_row_reference(replace(cfg, sweep=full)))
 
 
 @pytest.mark.parametrize("bad_eta", [0.0, -0.2, 1.5])
