@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import generator, jsonio, measurement, metrology, optimal, scenarios, verify
-from .errors import GaussmetError
+from .errors import GaussmetError, InputError
 from .gaussian import assemble, disentangle
 
 _BUILD_KINDS = {
@@ -36,7 +36,7 @@ _BUILD_KINDS = {
 
 _SCENARIO_KINDS = {k.replace("_", "-"): k for k in generator.SHIFT_DOMAINS}
 
-# jsonio.round_floats rejects every non-finite report value, so numpy's warnings would only repeat it
+# jsonio.round_floats and the scenario table reject every non-finite value, so numpy's warnings would only repeat it
 _finite_checked = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -222,12 +222,16 @@ def _cmd_homodyne(args) -> int:
     return 0
 
 
+@_finite_checked
 def _cmd_scenario(args) -> int:
     cfg = jsonio.scenario_config_from_dict(jsonio.load_json(args.config), _SCENARIO_KINDS[args.kind])
     rows = scenarios.run_scenario(cfg)
     sig = _sig_digits(args)
     lines = [",".join(rows[0])]  # run_scenario's keys name the columns
     for row in rows:
+        # a homodyne cell is NaN where its formulas do not apply; any other non-finite cell is an overflow
+        if any(np.isinf(v) or v != v and key != "homodyne_fi" for key, v in list(row.items())[1:]):
+            raise InputError(f"the table overflows the float range: {row}")
         lines.append(",".join(v if isinstance(v, str) else f"{v:.{sig}g}" for v in row.values()))
     jsonio._write_atomic(args.out, ["\n".join(lines) + "\n"])
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -254,6 +258,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except (GaussmetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # a float's ** past the float range raises; numpy's gives inf
+        print(f"error: a value overflows the float range ({exc})", file=sys.stderr)
         return 3
 
 

@@ -31,7 +31,7 @@ class ConditionNotVerifiedWarning(GaussmetWarning):
 
 
 def require_finite(**values) -> None:
-    """Raise InputError naming the first value that is not a finite number."""
+    """Raise InputError naming the first value that is not a finite number; a bool is not one."""
     for name, value in values.items():
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)):
             raise InputError(f"{name} must be a finite number, got {value!r}")

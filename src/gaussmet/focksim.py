@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel
-from .errors import InputError, TailTooLargeError
+from .errors import GaussmetWarning, InputError, TailTooLargeError
 from .gaussian import DisentangledForm
 from .generator import Generator
 
@@ -361,6 +361,7 @@ def fock_counting_fi(
             warnings.warn(
                 f"counting FI changes by {abs(refined - value):.3e} when the "
                 "difference step is halved; decrease fd_step",
+                GaussmetWarning,
                 stacklevel=2,
             )
     return value

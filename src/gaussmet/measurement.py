@@ -46,9 +46,9 @@ class HomodyneSetup:
     true_param: float = 0.0
 
     def __post_init__(self):
+        require_finite(eta=self.eta, sigma_env_sq=self.sigma_env_sq, true_param=self.true_param)
         if not (0.0 < self.eta <= 1.0):
             raise InputError("eta must lie in (0, 1]")
-        require_finite(sigma_env_sq=self.sigma_env_sq, true_param=self.true_param)
         if not self.sigma_env_sq >= 1.0:
             raise InputError("sigma_env_sq must be at least 1 (vacuum)")
         if isinstance(self.phases, str):

@@ -56,8 +56,9 @@ class ProbeSpec:
             raise InputError("target_gvar must be nonnegative")
         if self.spectrum_tol != self.spectrum_tol:  # NaN; the default +inf is valid
             raise InputError("spectrum_tol must not be NaN")
-        if len(self.squeeze_angles) != 2 or not np.isfinite(self.squeeze_angles).all():
+        if len(self.squeeze_angles) != 2:
             raise InputError(f"squeeze_angles must be two finite numbers, got {self.squeeze_angles}")
+        require_finite(**{f"squeeze_angles[{k}]": a for k, a in enumerate(self.squeeze_angles)})
 
 
 @dataclass(frozen=True)

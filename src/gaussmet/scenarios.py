@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import matkernel, measurement, metrology, optimal
+from . import measurement, metrology, optimal
 from .errors import GaussmetError, InputError, RegularizationWarning, require_finite
 from .gaussian import DisentangledForm
 from .generator import SHIFT_DOMAINS as SCENARIO_KINDS, Generator, _hg_ladder, from_matrix
@@ -54,12 +54,16 @@ class ScenarioConfig:
         if self.kind not in SCENARIO_KINDS:
             raise InputError(f"kind must be one of {SCENARIO_KINDS}")
         require_finite(n_signal=self.n_signal, physical_scale=self.physical_scale)
-        if not self.n_signal > 0:
-            raise InputError("n_signal must be positive")
+        if not isinstance(self.sweep, dict):
+            raise InputError(f"sweep must map n_signal and eta to lists, got {self.sweep!r}")
         for key, values in self.sweep.items():
             if key not in ("n_signal", "eta") or not isinstance(values, (list, tuple)) or not values:
                 raise InputError(f"sweep takes non-empty lists n_signal and eta, got {key}: {values!r}")
             require_finite(**{f"sweep {key} entry {k}": v for k, v in enumerate(values)})
+        if not min([self.n_signal, *self.sweep.get("n_signal", ())]) > 0:
+            raise InputError("n_signal and every sweep n_signal entry must be positive")
+        object.__setattr__(self, "n_signal", float(self.n_signal))
+        object.__setattr__(self, "physical_scale", float(self.physical_scale))
 
 
 def mode_overlap(pair: RegularizedModePair) -> complex:
@@ -234,18 +238,21 @@ TABLE_KINDS = ("coherent", "mean_optimal", "derivative_displaced", "variance_opt
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[dict]:
-    """Tabulate probe families at the scenario's resources.
+    """Tabulate probe families at the scenario's resources, whose numbers ``cfg`` has checked.
 
     One row per (probe kind, signal photon number, transmissivity):
     engine QFI, resource bound, auto-phase homodyne FI at the given
-    transmissivity, and direct-detection FI. One stacked engine pass gives
-    every cell its per-probe value; homodyne entries, per probe, are NaN for
-    probes with no squeezed mode and for families the eigenmode homodyne
-    formulas do not cover (displaced or off-eigenbasis probes).
+    transmissivity (one ``HomodyneSetup`` each), and direct-detection FI.
+    One engine pass over the stacked probes and their generators, stacked
+    by ``from_matrix``, gives every cell its per-probe value; homodyne
+    entries, per probe, are NaN for probes with no squeezed mode and for
+    families the eigenmode formulas do not cover (displaced or off-eigenbasis).
     """
     gbar, dg = _scenario_targets(cfg)
     ns_values = cfg.sweep.get("n_signal", [cfg.n_signal])
     etas = cfg.sweep.get("eta", [1.0])
+    # _homodyne_result reads the setup's eta alone; each probe's measured modes come from _eigenmode_data
+    setups = [measurement.HomodyneSetup(mode_indices=(), eta=float(eta)) for eta in etas]
     built = {}  # generators by their matrix's bytes: most families' matrices do not change with N
 
     def build(g: np.ndarray) -> Generator:
@@ -263,15 +270,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
                 data = measurement._eigenmode_data(state, gen, modes) if modes else None
             except GaussmetError:
                 data = None
-            for eta in etas:
-                # the setup is built, and checks eta, whenever the probe has squeezed modes
-                setup = measurement.HomodyneSetup(mode_indices=modes, eta=float(eta)) if modes else None
-                homodyne.append(measurement._homodyne_result(*data, setup).fi if data else float("nan"))
+            homodyne += [measurement._homodyne_result(*data, setup).fi if data else float("nan") for setup in setups]
     kinds, states, gens = zip(*probes)
     # every family is two-mode: np.stack refuses probes of different mode counts
     state = DisentangledForm(*(np.stack([getattr(s, a) for s in states]) for a in ("V", "alpha", "r")))
-    eig = matkernel.HermitianEig(*(np.stack([getattr(g.eig, a) for g in gens]) for a in ("eigvals", "U")))
-    gen = Generator(G=np.stack([g.G for g in gens]), eig=eig)
+    gen = from_matrix(np.stack([g.G for g in gens]))
     report = metrology.qfi(state, gen)
     res, direct = report.resources, measurement._direct_fi(state, gen, report.resources.g_mean)
     cells = (res.n_signal, res.g_mean, np.sqrt(res.g_var), report.qfi, report.bound, direct)

@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussmet import cli, jsonio, measurement, verify
 from gaussmet.gaussian import disentangle
@@ -591,6 +597,14 @@ _BAD_INPUT_FILES = {
     "string-signal-tol": (None, _gen(tail=', "signal_tol": "0.5"'), "signal_tol must be a number"),
     "boolean-signal-tol": (None, _gen(tail=', "signal_tol": false'), "signal_tol must be a number"),
     "numeric-basis-label": (_state()[:-1] + ', "basis_label": 7}', None, "basis_label must be a string"),
+    "missing-f": ('{"n_modes": 2, "beta": %s}' % _ZERO_BETA, None, "state file missing field: 'f'"),
+    "n-modes-disagrees-with-beta": (_state(n_modes="3"), None, "invalid state: beta has shape (2,), expected (3,)"),
+    "n-modes-disagrees-with-f": (
+        _state(f="[[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]"),
+        None,
+        "invalid state: f has shape (3, 3), expected (2, 2)",
+    ),
+    "top-level-array": ("[%s]" % _state(), None, "top-level JSON value must be an object"),
 }
 
 
@@ -741,6 +755,23 @@ _BAD_SCENARIO_CONFIGS = {
         "centers, sigma_z, theta and r must be finite",
     ),
     "infinite-scale": ({"physical_scale": float("inf")}, "physical_scale must be a finite number, got inf"),
+    # every number is checked where the config's dataclasses are built: strings, booleans and pairs of the
+    # wrong length are not read as numbers
+    "pair-center-z-string": ({"pair": {**_SCENARIO_PAIR, "center_z": "12"}}, "center_z must hold exactly two numbers"),
+    "pair-center-p-three-entries": (
+        {"pair": {**_SCENARIO_PAIR, "center_p": [8, 2, 99]}}, "center_p must hold exactly two numbers, got [8, 2, 99]"
+    ),
+    "pair-theta-string": ({"pair": {**_SCENARIO_PAIR, "theta": "00"}}, "theta must hold exactly two numbers, got '00'"),
+    "pair-sigma-z-boolean": ({"pair": {**_SCENARIO_PAIR, "sigma_z": True}}, "sigma_z must be a finite number"),
+    "n-signal-string": ({"n_signal": "4"}, "n_signal must be a finite number, got '4'"),
+    "physical-scale-boolean": ({"physical_scale": True}, "physical_scale must be a finite number, got True"),
+    "sweep-eta-boolean": ({"sweep": {"eta": [True]}}, "sweep eta entry 0 must be a finite number, got True"),
+    "sweep-n-signal-negative": ({"sweep": {"n_signal": [-5]}}, "every sweep n_signal entry must be positive"),
+    "pair-sigma-z-zero": ({"pair": {**_SCENARIO_PAIR, "sigma_z": 0}}, "sigma_z must be positive"),
+    "pair-negative-r": ({"pair": {**_SCENARIO_PAIR, "r": [0.5, -0.1]}}, "squeezing strengths must be nonnegative"),
+    "n-signal-zero": ({"n_signal": 0}, "n_signal and every sweep n_signal entry must be positive"),
+    "sweep-list": ({"sweep": [["eta", [0.5]]]}, "sweep must map n_signal and eta to lists"),
+    "sweep-empty-list": ({"sweep": []}, "sweep must map n_signal and eta to lists, got []"),
 }
 
 
@@ -755,6 +786,79 @@ def test_bad_scenario_config_exit_3(tmp_path, capsys, overrides, defect):
     assert defect in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [o for o, _ in _BAD_SCENARIO_CONFIGS.values()], ids=list(_BAD_SCENARIO_CONFIGS))
+def test_bad_scenario_config_prints_one_error_line_and_leaves_no_file(tmp_path, capsys, overrides):
+    # a RuntimeWarning (an error in this suite) or a traceback would escape cli.run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pair": _SCENARIO_PAIR, "n_signal": 8.0, **overrides}))
+    argv = ["scenario", "--kind", "beam-tilt", "--config", str(cfg_path), "--out", str(tmp_path / "never.csv")]
+    assert cli.run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+# a valid config with a two-entry sweep, and the values its fields are mutated to (_DROP removes the key)
+_CONTRACT_CONFIG = {"pair": {**_SCENARIO_PAIR, "theta": [0.0, 0.0], "r": [0.5, 0.5]}, "n_signal": 8.0,
+                    "physical_scale": 1.5, "sweep": {"n_signal": [2.0, 4.0], "eta": [1.0, 0.5]}}
+_CONTRACT_FIELDS = [("pair", k) for k in ("center_z", "center_p", "sigma_z", "theta", "r")] + [
+    ("n_signal",), ("physical_scale",), ("sweep", "n_signal"), ("sweep", "eta"), ("pair",), ("sweep",)]
+_DROP = object()
+_CONTRACT_VALUES = [float("nan"), float("inf"), -1, 0, 1e308, 10**400, True, None, "4", [], [1], [1, 2, 3],
+                    {"a": 1}, _DROP]
+_CSV_COLUMNS = ["probe_kind", "n_signal", "g_mean", "g_sd", "eta", "qfi", "bound", "homodyne_fi", "direct_fi"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(sorted(cli._SCENARIO_KINDS)),
+    edits=st.lists(st.tuples(st.sampled_from(_CONTRACT_FIELDS), st.sampled_from(_CONTRACT_VALUES)),
+                   min_size=1, max_size=2),
+)
+# tables past the float range: a Hermitian average, a numpy product and a float's ** overflow
+@example(kind="beam-tilt", edits=[(("physical_scale",), 1e308)])
+@example(kind="time-shift", edits=[(("sweep",), _DROP), (("n_signal",), 1e308)])
+@example(kind="time-shift", edits=[(("physical_scale",), 1e200)])
+def test_scenario_config_contract(kind, edits):
+    # whatever a config's fields hold, scenario exits 0 with a whole table or 3 with one error line and no file
+    cfg = json.loads(json.dumps(_CONTRACT_CONFIG))
+    for path, value in edits:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            if value is _DROP:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = copy.deepcopy(value)  # the pool's lists and dict stay as they are
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "cfg.json"), "w", encoding="utf-8") as handle:
+            json.dump(cfg, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(["scenario", "--kind", kind, "--config", os.path.join(tmp, "cfg.json"),
+                          "--out", os.path.join(tmp, "table.csv")])
+        err = err.getvalue()
+        assert rc in (0, 3) and "Traceback" not in err
+        if rc == 3:
+            assert err.startswith("error:") and err.count("\n") == 1 and out.getvalue() == ""
+            assert os.listdir(tmp) == ["cfg.json"]
+            return
+        assert err == ""
+        with open(os.path.join(tmp, "table.csv"), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    sweep = cfg.get("sweep", {})
+    rows = 5 * len(sweep.get("n_signal", [None])) * len(sweep.get("eta", [None]))
+    assert lines[0].split(",") == _CSV_COLUMNS
+    assert len(lines) == 1 + rows
+    for line in lines[1:]:
+        family, *cells = line.split(",")
+        assert family in cli.scenarios.TABLE_KINDS and len(cells) == len(_CSV_COLUMNS) - 1
+        # homodyne_fi is NaN where its formulas do not apply; every other cell is a finite number
+        for name, cell in zip(_CSV_COLUMNS[1:], cells):
+            assert np.isfinite(float(cell)) or name == "homodyne_fi" and cell == "nan"
 
 
 @pytest.mark.parametrize("kind", ["time-shift", "frequency-shift", "beam-displacement", "beam-tilt"])

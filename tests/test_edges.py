@@ -13,7 +13,7 @@ import gaussmet
 from gaussmet import (
     cli, focksim, generator, jsonio, matkernel, measurement, metrology, optimal, regmodes, scenarios, verify,
 )
-from gaussmet.errors import InputError
+from gaussmet.errors import GaussmetWarning, InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import DiscretizationGrid
 from gaussmet.measurement import HomodyneSetup
@@ -146,6 +146,76 @@ def test_scenario_sweep_accepts_numpy_floats():
     assert optimal.ProbeSpec(kind="optimal", n_signal=2.0).spectrum_tol == np.inf
 
 
+@pytest.mark.parametrize(
+    "build, defect",
+    [
+        (lambda: regmodes.RegularizedModePair(**_PAIR, r=(1, 2, 3)), "r must hold exactly two numbers"),
+        (lambda: regmodes.RegularizedModePair(**{**_PAIR, "center_z": "12"}), "center_z must hold exactly two"),
+        (lambda: regmodes.RegularizedModePair(**{**_PAIR, "center_p": 8.0}), "center_p must hold exactly two"),
+        (lambda: regmodes.RegularizedModePair(**_PAIR, theta={"a": 0, "b": 1}), "theta must hold exactly two"),
+        (lambda: regmodes.RegularizedModePair(**_PAIR, theta=(0.0, "1")), "theta[1] must be a finite number"),
+        (lambda: regmodes.RegularizedModePair(**{**_PAIR, "sigma_z": True}), "sigma_z must be a finite number"),
+        (lambda: regmodes.RegularizedModePair(**{**_PAIR, "sigma_z": 0.0}), "sigma_z must be positive"),
+        (lambda: regmodes.RegularizedModePair(**_PAIR, r=(0.5, -1e-3)), "squeezing strengths must be nonnegative"),
+        (lambda: optimal.ProbeSpec(kind="optimal", n_signal=True), "n_signal must be a finite number, got True"),
+        (lambda: optimal.ProbeSpec(kind="optimal", n_signal=2.0, squeeze_angles=(False, 0.0)), "squeeze_angles[0]"),
+        (lambda: HomodyneSetup(mode_indices=(0,), eta=True), "eta must be a finite number, got True"),
+        (lambda: HomodyneSetup(mode_indices=(0,), eta="0.5"), "eta must be a finite number"),
+        (lambda: HomodyneSetup(mode_indices=(0,), eta=float("nan")), "eta must be a finite number"),
+        (lambda: scenarios.ScenarioConfig("time_shift", regmodes.RegularizedModePair(**_PAIR), n_signal="4"),
+         "n_signal must be a finite number"),
+        (lambda: scenarios.ScenarioConfig("time_shift", regmodes.RegularizedModePair(**_PAIR), n_signal=0.0),
+         "n_signal and every sweep n_signal entry must be positive"),
+        (lambda: scenarios.ScenarioConfig("time_shift", regmodes.RegularizedModePair(**_PAIR), 8.0,
+                                          physical_scale=False), "physical_scale must be a finite number"),
+        (lambda: scenarios.ScenarioConfig("time_shift", regmodes.RegularizedModePair(**_PAIR), 8.0,
+                                          sweep={"n_signal": [4.0, -5.0]}), "must be positive"),
+        (lambda: scenarios.ScenarioConfig("time_shift", regmodes.RegularizedModePair(**_PAIR), 8.0,
+                                          sweep={"eta": [1.0, True]}), "sweep eta entry 1 must be a finite number"),
+    ],
+    ids=[
+        "pair-r-three", "pair-center-z-string", "pair-center-p-scalar", "pair-theta-dict", "pair-theta-string-entry",
+        "pair-sigma-bool", "pair-sigma-zero", "pair-r-negative", "probe-ns-bool",
+        "probe-angle-bool", "homodyne-eta-bool", "homodyne-eta-string", "homodyne-eta-nan", "scenario-ns-string",
+        "scenario-ns-zero", "scenario-scale-bool", "scenario-sweep-ns-negative", "scenario-sweep-eta-bool",
+    ],
+)
+def test_constructors_apply_one_number_rule(build, defect):
+    # booleans, strings and pairs of the wrong length fail where the dataclass is built
+    with pytest.raises(InputError) as info:
+        build()
+    assert defect in str(info.value)
+
+
+def test_constructors_store_floats():
+    pair = regmodes.RegularizedModePair(center_z=[0, 1], center_p=np.array([8, 2]), sigma_z=1, r=(1, 0))
+    cfg = scenarios.ScenarioConfig("time_shift", pair, n_signal=4, physical_scale=np.float64(2))
+    stored = (*pair.center_z, *pair.center_p, pair.sigma_z, *pair.theta, *pair.r, cfg.n_signal, cfg.physical_scale)
+    assert [type(v) for v in stored] == [float] * len(stored)
+    assert (pair.center_z, pair.center_p, pair.r) == ((0.0, 1.0), (8.0, 2.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "build, defect",
+    [
+        (lambda: DisentangledForm(V=np.eye(2, 3, dtype=complex), alpha=np.zeros(2), r=np.zeros(2)), "V must be square"),
+        (lambda: DisentangledForm(V=np.eye(2, dtype=complex), alpha=np.zeros(3), r=np.zeros(2)), "alpha and r"),
+        (lambda: DisentangledForm(V=np.eye(2, dtype=complex), alpha=np.zeros(2), r=np.zeros(1)), "alpha and r"),
+        (
+            lambda: optimal.build_probe(
+                optimal.ProbeSpec(kind="mean_optimal", n_signal=2.0, mode_vector=np.ones(3, complex)),
+                generator.from_matrix(np.diag([1.0, 2.0]).astype(complex)),
+            ),
+            "mode_vector must have length n_modes",
+        ),
+    ],
+    ids=["non-square-V", "alpha-length", "r-length", "mode-vector-length"],
+)
+def test_shape_errors_outside_the_cli(build, defect):
+    with pytest.raises(InputError, match=defect):
+        build()
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         focksim.OracleConfig(cutoff=0)
@@ -185,7 +255,7 @@ def test_counting_richardson_warns_on_coarse_step():
     dg = g_vals[1] - g_vals[0]
     zs = 0.2 + np.arange(2) * 2.0 * np.pi / (2 * dg)
     rot = np.exp(1j * np.outer(zs, g_vals)) / np.sqrt(2.0)
-    with pytest.warns(UserWarning, match="difference step"):
+    with pytest.warns(GaussmetWarning, match="difference step"):
         focksim.fock_counting_fi(builder, rot, 0.3, cfg)
     fine = focksim.OracleConfig(cutoff=16, tail_tol=1e-10, fd_step=1e-5)
     with warnings.catch_warnings():
