@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import re
 import sys
 
@@ -214,10 +213,10 @@ def _cmd_homodyne(args) -> int:
     sig = _sig_digits(args)
     payload = jsonio.round_floats(payload, sig)
     if args.samples_out:
+        line, block = f"%.{sig}g\n".__mod__, measurement._BLOCK  # one block of text at a time
         for k, row in enumerate(samples):
-            csv = io.StringIO()
-            np.savetxt(csv, row, fmt=f"%.{sig}g")
-            jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", [csv.getvalue()])
+            chunks = ("".join(map(line, row[i:i + block].tolist())) for i in range(0, row.size, block))
+            jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", chunks)
     _emit(payload, args.out)
     return 0
 

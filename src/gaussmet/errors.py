@@ -1,7 +1,9 @@
-"""Exception and warning types, and the finiteness check, shared across the package."""
+"""Exception and warning types, and the finiteness and allocation checks, shared across the package."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class GaussmetError(Exception):
@@ -33,5 +35,17 @@ class ConditionNotVerifiedWarning(GaussmetWarning):
 def require_finite(**values) -> None:
     """Raise InputError naming the first value that is not a finite number; a bool is not one."""
     for name, value in values.items():
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)):
+        try:
+            finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:  # an int past the float range; its repr may exceed Python's digit limit
+            raise InputError(f"{name} must be a finite number, got a number too large for a float") from None
+        if not finite:
             raise InputError(f"{name} must be a finite number, got {value!r}")
+
+
+def _allocate(shape, what: str) -> np.ndarray:
+    """``np.empty(shape)``, or InputError naming ``what`` if numpy cannot allocate it."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):  # ValueError: the size is past numpy's index range
+        raise InputError(f"cannot allocate {what}") from None

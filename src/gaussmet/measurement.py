@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel, metrology
-from .errors import ConditionNotVerifiedWarning, InputError, require_finite
+from .errors import ConditionNotVerifiedWarning, InputError, _allocate, require_finite
 from .gaussian import DisentangledForm
 from .generator import DiscretizationGrid, Generator, HGParams, hg_mode, signal_projector
 from .regmodes import RegularizedModePair
 
 _DIAG_TOL = 1e-9
 _PHASE_AMP_FLOOR = 1e-12
+_BLOCK = 1 << 16  # samples scored or written per step, so no temporary grows with the sample count
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,16 @@ def sample_homodyne(
 ) -> np.ndarray:
     """Draw homodyne outcomes, one row of n_samples per measured mode.
 
-    Outcomes are independent zero-mean Gaussians at the per-mode variance
-    of the setup; fixed non-negative seeds reproduce identical streams.
+    Outcomes are independent zero-mean Gaussians at the per-mode variance of the setup;
+    fixed non-negative seeds reproduce identical streams. n_samples is an integer >= 1, not a bool.
     """
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise InputError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
     result = homodyne_fi(d, gen, setup)
-    out = np.random.default_rng(seed).standard_normal((len(result.variances), n_samples))
+    out = _allocate((len(result.variances), n_samples), f"{n_samples} samples per measured mode")
+    np.random.default_rng(seed).standard_normal(out=out)
     out *= np.sqrt(result.variances)[:, None]
     return out
 
@@ -198,15 +202,23 @@ def empirical_fi(
     Gaussian outcome x with variance v(lambda) is (x^2/v - 1) v'/(2v), and
     (v'/(2v))^2 = FI_n / 2, so the estimate is the sum over modes of
     FI_n / 2 times the sample mean of (x^2/v - 1)^2, with v and FI_n read
-    from :func:`homodyne_fi`.
+    from :func:`homodyne_fi`, scoring the samples a block at a time.
     """
     return _score_fi(homodyne_fi(d, gen, setup), sample_homodyne(d, gen, setup, n_samples, seed))
 
 
 def _score_fi(base: HomodyneResult, samples: np.ndarray) -> float:
-    """The :func:`empirical_fi` estimate from samples drawn at the setup of ``base``."""
-    modes = zip(base.per_mode_fi, base.variances, samples)
-    return sum((0.5 * fi_n * float(np.mean((x**2 / v - 1.0) ** 2)) for fi_n, v, x in modes), 0.0)
+    """:func:`empirical_fi` from ``samples`` drawn at ``base``'s setup, scored ``_BLOCK`` at a time, left unchanged."""
+    buf, total = np.empty(min(_BLOCK, samples.shape[1])), 0.0
+    for fi_n, v, x in zip(base.per_mode_fi, base.variances, samples):
+        sq_sum = 0.0
+        for start in range(0, x.size, _BLOCK):
+            y = np.square(x[start:start + _BLOCK], out=buf[: min(_BLOCK, x.size - start)])
+            y /= v
+            y -= 1.0
+            sq_sum += float(y @ y)
+        total += 0.5 * fi_n * (sq_sum / x.size)
+    return total
 
 
 def direct_detection_fi(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import focksim, metrology
-from .errors import InputError, TailTooLargeError
+from .errors import InputError, TailTooLargeError, _allocate
 from .gaussian import DisentangledForm
 from .generator import from_matrix
 
@@ -86,7 +86,7 @@ def suite_bound(trials: int, seed: int) -> SuiteReport:
         alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         return h, r, alpha, _gaussian(rng, m)
 
-    margins = np.empty(trials)
+    margins = _allocate(trials, f"{trials} trial results")
     for ks, h, r, alpha, z in _grouped(trials, seed, 8, draw):
         report = metrology.qfi(DisentangledForm(V=_unitary(z), alpha=alpha, r=r), from_matrix(h))
         margins[ks] = (report.bound - report.qfi) / np.maximum(1.0, report.bound)
@@ -153,7 +153,7 @@ def suite_lemma2(trials: int, seed: int) -> SuiteReport:
     def draw(rng, m):  # H, then Q's eigenvectors (as the Gaussian matrix they come from) and eigenvalues
         return random_hermitian(rng, m), _gaussian(rng, m), rng.chisquare(2.0, m)
 
-    gaps = np.empty(trials)
+    gaps = _allocate(trials, f"{trials} trial results")
     for ks, h, z, eigvals in _grouped(trials, seed, 10, draw):
         w = _unitary(z)
         q = (w * eigvals[:, None, :]) @ w.conj().mT

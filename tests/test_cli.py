@@ -1022,3 +1022,37 @@ def test_homodyne_one_mode_of_built_equal_squeezing_pair(tmp_path, capsys, m):
         assert cli.run(["homodyne", "--modes", str(k)] + io_args) == 0, capsys.readouterr().err
         shares.append(json.loads(capsys.readouterr().out)["fi"])
     assert shares == joint["per_mode_fi"]
+
+
+# counts whose arrays exceed the 47-bit address space, so no test allocates them
+@pytest.mark.parametrize("count", [10**17, 2**62, 10**19])
+@pytest.mark.parametrize("command", ["homodyne", "verify"])
+def test_counts_past_memory_exit_3(fixture_paths, capsys, count, command):
+    state_path, gen_path, tmp_path = fixture_paths
+    before = sorted(os.listdir(tmp_path))
+    if command == "homodyne":
+        argv = ["homodyne", "--state", state_path, "--generator", gen_path, "--samples", str(count),
+                "--samples-out", str(tmp_path / "never"), "--out", str(tmp_path / "never.json")]
+    else:
+        argv = ["verify", "--suite", "bound", "--trials", str(count)]
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot allocate") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_homodyne_samples_csv_spans_blocks(fixture_paths, capsys, tmp_path, full):
+    # N = B + 3 puts three samples in a second block of CSV text
+    state_path, gen_path, _ = fixture_paths
+    n, sig, prefix = measurement._BLOCK + 3, 17 if full else 12, str(tmp_path / "blk")
+    argv = ["homodyne", "--state", state_path, "--generator", gen_path,
+            "--samples", str(n), "--seed", "6", "--samples-out", prefix]
+    assert cli.run(argv + ["--full-precision"] * full) == 0, capsys.readouterr().err
+    d = disentangle(jsonio.state_from_dict(jsonio.load_json(state_path)))
+    gen = jsonio.generator_from_dict(jsonio.load_json(gen_path))
+    rows = measurement.sample_homodyne(d, gen, measurement.HomodyneSetup(mode_indices=(0, 1)), n, 6)
+    for mode, row in enumerate(rows):
+        text = (tmp_path / f"blk_mode{mode}.csv").read_text()
+        assert text == "".join(f"%.{sig}g\n" % x for x in row)

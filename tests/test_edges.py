@@ -423,3 +423,26 @@ def test_src_raises_only_package_errors():
         if isinstance(obj, type) and issubclass(obj, Exception) and not issubclass(obj, Warning)
     }
     assert defined - caught - {"GaussmetError", "InputError"} == set()
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+def test_huge_integers_raise_input_error(value):
+    # math.isfinite overflows on them, and repr refuses ints past 4300 digits, so no message may print one
+    pair = dict(center_z=(0.0, 0.0), center_p=(8.0, 2.0), sigma_z=1.0)
+    makers = [
+        lambda: optimal.ProbeSpec(kind="optimal", n_signal=value),
+        lambda: regmodes.RegularizedModePair(**{**pair, "sigma_z": value}),
+        lambda: scenarios.ScenarioConfig(kind="time_shift", pair=regmodes.RegularizedModePair(**pair), n_signal=value),
+    ]
+    for make in makers:
+        with pytest.raises(InputError, match="too large for a float") as info:
+            make()
+        assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("trials", [10**17, 2**62, 10**19])
+@pytest.mark.parametrize("suite", [verify.suite_bound, verify.suite_lemma2])
+def test_verify_rejects_trial_counts_past_memory(suite, trials):
+    # per-trial arrays beyond the 47-bit address space, so the test allocates nothing
+    with pytest.raises(InputError, match=f"cannot allocate {trials} trial results"):
+        suite(trials, 0)

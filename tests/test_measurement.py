@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -556,3 +558,62 @@ def test_homodyne_setup_accepts_numpy_integer_modes():
     assert measurement.homodyne_fi(d, GEN13, numpy_modes) == measurement.homodyne_fi(
         d, GEN13, HomodyneSetup(mode_indices=(0, 1))
     )
+
+
+_B = measurement._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 10**6])
+@pytest.mark.parametrize("m", [1, 3])
+def test_score_fi_matches_single_pass_mean(n, m):
+    # the blocked scorer against the one-temporary form it replaces
+    rng = np.random.default_rng(n + m)
+    variances = tuple(rng.uniform(0.1, 3.0, m).tolist())
+    per_mode_fi = tuple(rng.uniform(0.5, 20.0, m).tolist())
+    base = measurement.HomodyneResult(fi=sum(per_mode_fi), per_mode_fi=per_mode_fi, variances=variances,
+                                      phases_used=(0.0,) * m)
+    samples = rng.standard_normal((m, n)) * np.sqrt(variances)[:, None]
+    single = sum(0.5 * fi * np.mean((x**2 / v - 1.0) ** 2) for fi, v, x in zip(per_mode_fi, variances, samples))
+    assert measurement._score_fi(base, samples) == pytest.approx(single, rel=1e-13, abs=0.0)
+
+
+def test_score_fi_memory_bounded_and_samples_unchanged():
+    samples = np.random.default_rng(9).standard_normal((2, 10**6))
+    kept = samples.copy()
+    base = measurement.HomodyneResult(fi=3.0, per_mode_fi=(1.0, 2.0), variances=(1.0, 1.0), phases_used=(0.0, 0.0))
+    tracemalloc.start()
+    try:
+        measurement._score_fi(base, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the single-pass form peaked at 7.6 MiB
+    assert np.array_equal(samples, kept)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5, 2.5, True, np.int64(0), "10", None])
+def test_sampling_rejects_bad_sample_counts(n_samples):
+    d = _probe(1, [0.5])
+    gen = generator.from_matrix(np.diag([1.0]).astype(complex))
+    setup = HomodyneSetup(mode_indices=(0,))
+    for fn in (measurement.sample_homodyne, measurement.empirical_fi):
+        with pytest.raises(InputError, match="n_samples must be an integer of at least 1"):
+            fn(d, gen, setup, n_samples, seed=0)
+
+
+def test_sampling_accepts_numpy_integer_counts():
+    d = _probe(1, [0.5])
+    gen = generator.from_matrix(np.diag([1.0]).astype(complex))
+    setup = HomodyneSetup(mode_indices=(0,))
+    x = measurement.sample_homodyne(d, gen, setup, np.int64(5), seed=3)
+    assert np.array_equal(x, measurement.sample_homodyne(d, gen, setup, 5, seed=3))
+
+
+# sample arrays beyond the 47-bit address space, so no test allocates them
+@pytest.mark.parametrize("n_samples", [10**17, 2**62, 10**19])
+def test_sampling_rejects_counts_past_memory(n_samples):
+    setup = HomodyneSetup(mode_indices=(0, 1))
+    d = _probe(2, [1.0, 1.0])
+    for fn in (measurement.sample_homodyne, measurement.empirical_fi):
+        with pytest.raises(InputError, match=f"cannot allocate {n_samples} samples"):
+            fn(d, GEN13, setup, n_samples, seed=0)
