@@ -8,11 +8,12 @@ three-term recurrence in n. A passive mode mixer must be unitary; it
 factors into phases and two-mode rotations on adjacent modes (Givens
 nulling, as in Reck et al., PRL 73, 58 (1994)), and each factor conserves
 the photon number of its pair. The lift of a two-mode rotation is
-block-diagonal in that number K; each block follows exactly from the block
-for K - 1 by the one-photon recurrence of Miatto & Quesada, Quantum 4, 366
-(2020), and acts on every occupation of the other modes at once. The
-generator sum_ij G_ij a_i^dag a_j also conserves N and acts on the lattice
-directly. No exponential or eigendecomposition is formed: this module is
+block-diagonal in that number K: each block's top row is a closed form,
+and its other rows follow exactly from block K - 1 by the one-photon
+recurrence of Miatto & Quesada, Quantum 4, 366 (2020). The blocks act on
+every occupation of the other modes as batched products over consecutive
+K. The generator sum_ij G_ij a_i^dag a_j also conserves N and acts on the
+lattice directly. No exponential or eigendecomposition is formed: this module is
 the independent check for every closed form in the package and shares no
 algebra with the Gaussian engine.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -83,17 +85,20 @@ class _Lattice:
     ``inside`` holds the lattice indices with N <= cutoff in lattice order,
     ``occ`` their photon counts per mode, shape (M, len(inside)), and
     ``outside`` is the lattice mask of N > cutoff. The positions below index
-    ``inside``: ``pairs[p][K - 1]`` holds the positions of the states with
-    n_p + n_{p+1} = K, K >= 1: row a has n_p = a, and each column is one
-    occupation of the other modes. ``hops`` has one entry per mode pair
-    i < j, in ``itertools.combinations`` order: the positions of every
-    state m with m_i >= 1, of m - e_i + e_j, and sqrt(m_i (m_j + 1)).
+    ``inside``. ``pairs[p]`` lists batches (ks, table) over consecutive pair
+    photon numbers K = n_p + n_{p+1} in ks: ``table[K - ks.start, a, s]`` is
+    the state with n_p = a and the s-th occupation of the other modes,
+    padded to the batch's largest K and spectator count with len(inside), a
+    zero slot past the kept amplitudes. A batch grows while its table holds
+    at most twice its real entries. ``hops`` has one entry per mode pair
+    i < j, in ``itertools.combinations`` order: the positions of every state
+    m with m_i >= 1, of m - e_i + e_j, and sqrt(m_i (m_j + 1)).
     """
 
     inside: np.ndarray
     occ: np.ndarray
     outside: np.ndarray
-    pairs: tuple[tuple[np.ndarray, ...], ...]
+    pairs: tuple[tuple[tuple[slice, np.ndarray], ...], ...]
     hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
@@ -110,11 +115,19 @@ def _lattice(cutoff: int, n_modes: int) -> _Lattice:
     for p in range(n_modes - 1):
         pair_total = occ[p] + occ[p + 1]
         step = strides[p] - strides[p + 1]  # one photon moved from mode p+1 to mode p
-        tables = []
-        for k in range(1, cutoff + 1):
-            start = inside[(occ[p] == 0) & (pair_total == k)]
-            tables.append(_readonly(position[start + step * np.arange(k + 1)[:, None]]))
-        pairs.append(tuple(tables))
+        sectors = [position[inside[(occ[p] == 0) & (pair_total == k)] + step * np.arange(k + 1)[:, None]]
+                   for k in range(cutoff + 1)]
+        batches, lo = [], 1
+        while lo <= cutoff:  # sector lo has the most spectators of its batch, sector hi - 1 the most rows
+            hi, real = lo + 1, sectors[lo].size
+            while hi <= cutoff and (hi + 1 - lo) * (hi + 1) * sectors[lo].shape[1] <= 2 * (real + sectors[hi].size):
+                real, hi = real + sectors[hi].size, hi + 1
+            table = np.full((hi - lo, hi, sectors[lo].shape[1]), inside.size, dtype=np.intp)
+            for i, rows in enumerate(sectors[lo:hi]):
+                table[i, : rows.shape[0], : rows.shape[1]] = rows
+            batches.append((slice(lo, hi), _readonly(table)))
+            lo = hi
+        pairs.append(tuple(batches))
     hops = []
     for i, j in itertools.combinations(range(n_modes), 2):
         target = np.flatnonzero(occ[i] > 0)
@@ -130,31 +143,42 @@ def _lattice(cutoff: int, n_modes: int) -> _Lattice:
     )
 
 
-def _two_mode_blocks(w: np.ndarray, cutoff: int) -> list[np.ndarray]:
-    """Blocks K = 1..cutoff of the Fock-space lifts U of 2x2 unitaries w[f].
+@functools.lru_cache(maxsize=32)
+def _top_row_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(C(K, b)) from exact integer binomials, and K - b, for 0 <= b <= K <= cutoff; zero elsewhere."""
+    ks = range(cutoff + 1)
+    binomials = [[float(math.comb(k, b)) for b in ks] for k in ks]
+    return _readonly(np.sqrt(binomials)), _readonly(np.tril(np.subtract.outer(ks, ks)))
 
-    Entry K - 1 has shape (F, K + 1, K + 1); its rows and columns are the
-    states (a, K - a), a = 0..K. Block K follows from block K - 1 by
-    <m|U|n> = m_i^(-1/2) sum_j w_ij sqrt(n_j) <m-e_i|U|n-e_j>, i the first
-    occupied mode of m, which holds because U^dag a_i U = sum_j w_ij a_j;
-    the K = 1 block is w itself.
+
+def _two_mode_blocks(w: np.ndarray, cutoff: int) -> np.ndarray:
+    """Blocks K = 0..cutoff of the Fock-space lifts U of 2x2 unitaries w[f].
+
+    Block K sits at [f, K, :K + 1, :K + 1], zero-padded to (F, cutoff + 1,
+    cutoff + 1, cutoff + 1); its rows and columns are the states (a, K - a),
+    a = 0..K. Row 0 is <0,K|U|b,K-b> = sqrt(C(K, b)) w10^b w11^(K-b), since
+    <0,K| U = <0| U (w10 a_0 + w11 a_1)^K / sqrt(K!) by U^dag a_i U =
+    sum_j w_ij a_j. Rows a >= 1 follow from row a - 1 of block K - 1 by
+    <m|U|n> = a^(-1/2) sum_j w_0j sqrt(n_j) <m-e_0|U|n-e_j>.
     """
     root = np.sqrt(np.arange(cutoff + 1, dtype=float))
-    w = w[:, :, :, None, None]
-    blocks = []
-    block = np.ones((len(w), 1, 1), dtype=complex)
+    binomial_roots, k_minus_b = _top_row_tables(cutoff)
+    powers = np.ones((len(w), 2, cutoff + 1), dtype=complex)
+    powers[:, :, 1:] = w[:, 1, :, None]
+    np.cumprod(powers, axis=2, out=powers)  # powers[f, j, n] = w[f, 1, j] ** n
+    # column b of every block is stored at b + 1; stored column 0 stays zero for n - e_0 at b = 0
+    buf = np.zeros((len(w), cutoff + 1, cutoff + 1, cutoff + 2), dtype=complex)
+    buf[:, :, 0, 1:] = binomial_roots * powers[:, 0, None, :] * powers[:, 1][:, k_minus_b]
+    # coef[f, j, a - 1, d] = w_0j sqrt(d) / sqrt(a): d = b for j = 0 and d = K - b for j = 1
+    coef = w[:, 0, :, None, None] * (root / root[1:, None])
     for k in range(1, cutoff + 1):
-        # column n = (b, k - b): n - e_0 sits at column b - 1 of block k - 1, n - e_1 at column b
-        via_0 = np.zeros((len(w), k, k + 1), dtype=complex)
-        via_0[:, :, 1:] = block * root[1 : k + 1]
-        via_1 = np.zeros_like(via_0)
-        via_1[:, :, :-1] = block * root[k:0:-1]
-        # row m = (a, k - a): m - e_0 sits at row a - 1 for a >= 1, m - e_1 at row 0 for a = 0
-        block = np.empty((len(w), k + 1, k + 1), dtype=complex)
-        block[:, 1:] = (w[:, 0, 0] * via_0 + w[:, 0, 1] * via_1) / root[1 : k + 1, None]
-        block[:, 0] = (w[:, 1, 0] * via_0[:, :1] + w[:, 1, 1] * via_1[:, :1])[:, 0] / root[k]
-        blocks.append(block)
-    return blocks
+        prev = buf[:, k - 1, :k]
+        np.add(
+            coef[:, 0, :k, : k + 1] * prev[..., : k + 1],
+            coef[:, 1, :k, k::-1] * prev[..., 1 : k + 2],
+            out=buf[:, k, 1 : k + 1, 1 : k + 2],
+        )
+    return buf[..., 1:]
 
 
 def _givens_factors(v: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -188,12 +212,13 @@ def apply_mode_transform(psi: np.ndarray, v: np.ndarray, cutoff: int) -> np.ndar
     The lift acts exactly on every sector N <= cutoff and leaves zeros at
     N > cutoff; its one-photon block is v itself. v is factored into phases
     d_k, lifted as d_k ** n_k, and two-mode rotations (``_givens_factors``).
-    Each rotation's blocks come from the two-mode recurrence of
-    ``_two_mode_blocks`` and act on all occupations of the other modes as
-    one matrix product per photon number of the pair. Raises InputError if
-    v deviates from unitary by more than matkernel.DEFAULT_TOL * M, the
-    engine's rule, and TailTooLargeError if psi has more than 1e-12
-    probability at N > cutoff, which the truncated lift cannot carry.
+    Each rotation's blocks, a closed-form top row and the two-mode recurrence
+    below it (``_two_mode_blocks``), act on all occupations of the other
+    modes as one batched product per batch of ``_Lattice.pairs``. Raises
+    InputError if v deviates from unitary by more than
+    matkernel.DEFAULT_TOL * M, the engine's rule, and TailTooLargeError if
+    psi has more than 1e-12 probability at N > cutoff, which the truncated
+    lift cannot carry.
     """
     n_modes = int(v.shape[0])
     matkernel._require_unitary(v, "mode transform")
@@ -208,17 +233,17 @@ def apply_mode_transform(psi: np.ndarray, v: np.ndarray, cutoff: int) -> np.ndar
         return psi
     if n_modes == 1:
         return psi * v[0, 0] ** np.arange(cutoff + 1)
-    x = flat_in[lattice.inside].astype(complex, copy=False)
+    x = np.append(flat_in[lattice.inside], 0j)  # x[-1] is the zero slot the pair tables pad with
     phases, pairs, w = _givens_factors(v)
     if phases.size:
         powers = phases[:, None] ** np.arange(cutoff + 1)
-        x *= np.prod(np.take_along_axis(powers, lattice.occ[: phases.size], axis=1), axis=0)
+        x[:-1] *= np.prod(np.take_along_axis(powers, lattice.occ[: phases.size], axis=1), axis=0)
     blocks = _two_mode_blocks(w, cutoff)
     for f, p in enumerate(pairs):
-        for rows, block in zip(lattice.pairs[p], blocks):
-            x[rows] = block[f] @ x[rows]
+        for ks, table in lattice.pairs[p]:
+            x[table] = blocks[f, ks, : table.shape[1], : table.shape[1]] @ x[table]
     flat_out = np.zeros(flat_in.shape, dtype=complex)
-    flat_out[lattice.inside] = x
+    flat_out[lattice.inside] = x[:-1]
     return flat_out.reshape(psi.shape)
 
 
@@ -229,14 +254,13 @@ def _displaced_squeezed_column(alpha: complex, r: float, cutoff: int) -> np.ndar
     obeys a psi = (alpha - conj(alpha) t + t a^dag) psi with t = tanh r:
     sqrt(n+1) c_{n+1} = (alpha - conj(alpha) t) c_n + t sqrt(n) c_{n-1}.
     """
-    t = np.tanh(r)
-    shift = alpha - np.conj(alpha) * t
-    root = np.sqrt(np.arange(cutoff + 1, dtype=float))
-    column = np.zeros(cutoff + 1, dtype=complex)
-    column[0] = np.exp(-0.5 * abs(alpha) ** 2 + 0.5 * np.conj(alpha) ** 2 * t) / np.sqrt(np.cosh(r))
+    t = float(np.tanh(r))
+    shift = complex(alpha - np.conj(alpha) * t)
+    root = np.sqrt(np.arange(cutoff + 1, dtype=float)).tolist()
+    column = [complex(np.exp(-0.5 * abs(alpha) ** 2 + 0.5 * np.conj(alpha) ** 2 * t) / np.sqrt(np.cosh(r)))]
     for n in range(cutoff):  # root[0] = 0 drops c_{-1}
-        column[n + 1] = (shift * column[n] + t * root[n] * column[n - 1]) / root[n + 1]
-    return column
+        column.append((shift * column[n] + t * root[n] * column[n - 1]) / root[n + 1])
+    return np.array(column)
 
 
 def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:

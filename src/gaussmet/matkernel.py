@@ -39,11 +39,15 @@ def _require_self_transpose(a: np.ndarray, name: str, conj: bool) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
     at = a.conj().mT if conj else a.mT
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    if halved := bool((scale >= 2.0**1023).any()):  # entries this large may overflow a sum; their halves cannot
+        a, at, scale = a / 2.0, at / 2.0, scale / 2.0
     dev = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
-    bad = dev > DEFAULT_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    bad = dev > DEFAULT_TOL * scale
     if bad.any():
-        raise InputError(f"{name} deviates from {'Hermitian' if conj else 'symmetric'} by {dev[bad].max():.3e}")
-    return (a + at) / 2.0
+        dev = (1.0 + halved) * float(dev[bad].max())
+        raise InputError(f"{name} deviates from {'Hermitian' if conj else 'symmetric'} by {dev:.3e}")
+    return a + at if halved else (a + at) / 2.0
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -134,8 +138,9 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
 def _hermitian_eig(a: np.ndarray) -> HermitianEig:
     """:func:`hermitian_eig` of a matrix or stack require_hermitian returned; only clusters loop in Python."""
     w, u = np.linalg.eigh(a)
-    gap = 1e-9 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    split = w[..., 1:] - w[..., :-1] >= gap[..., None]  # split[..., k]: a cluster ends at k
+    # clusters split at gaps of 1e-9 * scale, compared in halves so that no difference overflows
+    half, half_gap = w / 2.0, 5e-10 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    split = half[..., 1:] - half[..., :-1] >= half_gap[..., None]  # split[..., k]: a cluster ends at k
     isolated = np.ones(w.shape, dtype=bool)
     isolated[..., 1:] = split
     isolated[..., :-1] &= split
@@ -143,7 +148,7 @@ def _hermitian_eig(a: np.ndarray) -> HermitianEig:
         return HermitianEig(eigvals=w, U=_fix_phases(u))
     u = np.where(isolated[..., None, :], _fix_phases(u), u)
     for idx in map(tuple, np.argwhere(~isolated.all(axis=-1))):
-        for sl in _cluster_slices(w[idx], gap[idx]):
+        for sl in _cluster_slices(half[idx], half_gap[idx]):
             if sl.stop - sl.start > 1:
                 u[idx + (slice(None), sl)] = _pivoted_basis(u[idx + (slice(None), sl)])
     return HermitianEig(eigvals=w, U=u)

@@ -1026,7 +1026,7 @@ def test_homodyne_one_mode_of_built_equal_squeezing_pair(tmp_path, capsys, m):
 
 # counts whose arrays exceed the 47-bit address space, so no test allocates them
 @pytest.mark.parametrize("count", [10**17, 2**62, 10**19])
-@pytest.mark.parametrize("command", ["homodyne", "verify"])
+@pytest.mark.parametrize("command", ["homodyne", "verify", "verify-oracle"])
 def test_counts_past_memory_exit_3(fixture_paths, capsys, count, command):
     state_path, gen_path, tmp_path = fixture_paths
     before = sorted(os.listdir(tmp_path))
@@ -1034,7 +1034,7 @@ def test_counts_past_memory_exit_3(fixture_paths, capsys, count, command):
         argv = ["homodyne", "--state", state_path, "--generator", gen_path, "--samples", str(count),
                 "--samples-out", str(tmp_path / "never"), "--out", str(tmp_path / "never.json")]
     else:
-        argv = ["verify", "--suite", "bound", "--trials", str(count)]
+        argv = ["verify", "--suite", "oracle" if command == "verify-oracle" else "bound", "--trials", str(count)]
     assert cli.run(argv) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot allocate") and captured.err.count("\n") == 1

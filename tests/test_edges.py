@@ -441,7 +441,7 @@ def test_huge_integers_raise_input_error(value):
 
 
 @pytest.mark.parametrize("trials", [10**17, 2**62, 10**19])
-@pytest.mark.parametrize("suite", [verify.suite_bound, verify.suite_lemma2])
+@pytest.mark.parametrize("suite", [verify.suite_bound, verify.suite_lemma2, verify.suite_oracle])
 def test_verify_rejects_trial_counts_past_memory(suite, trials):
     # per-trial arrays beyond the 47-bit address space, so the test allocates nothing
     with pytest.raises(InputError, match=f"cannot allocate {trials} trial results"):

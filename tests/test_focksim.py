@@ -3,6 +3,7 @@ import functools
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -440,7 +441,7 @@ def _lattice_number_operator(h, cutoff):
     return sum(h[i, j] * lowering[i].T @ lowering[j] for i in range(m) for j in range(m))
 
 
-@pytest.mark.parametrize("m, cutoff", [(2, 5), (3, 5), (4, 3)])
+@pytest.mark.parametrize("m, cutoff", [(2, 5), (3, 5), (4, 3), (2, 24), (3, 8)])
 def test_lift_matches_exponential_of_lattice_operator(m, cutoff):
     # the lift of v = expm(-i h) is expm(-i sum_ij h_ij a_i^dag a_j); the box
     # operator maps N <= cutoff into itself, so its exponential is exact there
@@ -451,6 +452,61 @@ def test_lift_matches_exponential_of_lattice_operator(m, cutoff):
         want = scipy.linalg.expm(-1j * _lattice_number_operator(h, cutoff)) @ psi.reshape(-1)
         out = focksim.apply_mode_transform(psi, scipy.linalg.expm(-1j * h), cutoff)
         assert np.max(np.abs(out.reshape(-1) - want)) < 1e-12
+
+
+def _recurrence_blocks(w, cutoff):
+    """Blocks K = 0..cutoff of the lift of a 2x2 unitary w in 40-digit arithmetic, each from
+    block K - 1 by <m|U|n> = m_i^(-1/2) sum_j w_ij sqrt(n_j) <m-e_i|U|n-e_j>, i the first occupied mode of m."""
+    with mpmath.workdps(40):
+        w = [[mpmath.mpc(complex(x)) for x in row] for row in w]
+        root = [mpmath.sqrt(n) for n in range(cutoff + 1)]
+        blocks = [[[mpmath.mpc(1)]]]
+        for k in range(1, cutoff + 1):
+            block = []
+            for a in range(k + 1):
+                i, prev, m_i = (0, blocks[-1][a - 1], a) if a else (1, blocks[-1][0], k)
+                block.append([
+                    (w[i][0] * root[b] * (prev[b - 1] if b else 0) + w[i][1] * root[k - b] * (prev[b] if b < k else 0))
+                    / root[m_i]
+                    for b in range(k + 1)
+                ])
+            blocks.append(block)
+        return [np.array(block, dtype=complex) for block in blocks]
+
+
+def test_two_mode_blocks_match_high_precision_recurrence():
+    rng = np.random.default_rng(30)
+    cutoff = 30
+    for _ in range(3):
+        w = random_unitary(rng, 2)
+        blocks = focksim._two_mode_blocks(w[None], cutoff)[0]
+        for k, want in enumerate(_recurrence_blocks(w, cutoff)):
+            block = blocks[k, : k + 1, : k + 1]
+            assert np.max(np.abs(block - want)) < 1e-12
+            assert np.max(np.abs(block.conj().T @ block - np.eye(k + 1))) < 1e-12
+            assert not blocks[k, k + 1 :].any() and not blocks[k, :, k + 1 :].any()
+
+
+@pytest.mark.parametrize("m, cutoff", [(2, 24), (3, 8), (3, 20), (4, 6), (4, 16)])
+def test_pair_batches_hold_each_sector_once_by_the_padding_rule(m, cutoff):
+    lattice = focksim._lattice(cutoff, m)
+    pad = lattice.inside.size
+    for p, batches in enumerate(lattice.pairs):
+        pair_total = lattice.occ[p] + lattice.occ[p + 1]
+        sizes = np.bincount(pair_total, minlength=cutoff + 1)  # (K + 1) * spectators
+        held = np.concatenate([table[table != pad] for _, table in batches])
+        assert np.array_equal(np.sort(held), np.flatnonzero(pair_total >= 1))
+        for ks, table in batches:
+            for k, rows in zip(range(ks.start, ks.stop), table):
+                a, _ = np.nonzero(rows != pad)
+                assert np.array_equal(lattice.occ[p][rows[rows != pad]], a)
+                assert np.all(pair_total[rows[rows != pad]] == k)
+            real = sizes[ks].sum()
+            assert table.size <= 2 * real
+            if ks.stop <= cutoff:  # the next sector would pad the table past twice its entries
+                spectators = sizes[ks.start] // (ks.start + 1)
+                assert (table.shape[0] + 1) * (ks.stop + 1) * spectators > 2 * (real + sizes[ks.stop])
+        assert len(batches) == 1 if m == 2 else len(batches) > 1
 
 
 def test_focksim_shares_no_algebra_with_the_engine():

@@ -226,3 +226,20 @@ def test_stacked_checks_judge_each_matrix_by_its_own_scale():
         matkernel.require_hermitian(np.array([big, small]))
     with pytest.raises(InputError, match="deviates from unitary"):
         gaussian.DisentangledForm(V=np.array([np.eye(2), 1.1 * np.eye(2)]), alpha=np.zeros((2, 2)), r=np.zeros((2, 2)))
+
+
+def test_generators_with_entries_near_the_float_limit(recwarn):
+    gen = generator.from_matrix(np.diag([1e308, -1e308]).astype(complex))
+    assert gen.eig.eigvals.tolist() == [-1e308, 1e308]
+    assert np.array_equal(gen.G, np.diag([1e308, -1e308]))
+    # clustered eigenvalues at the limit are split without overflow as well
+    assert generator.from_matrix(np.diag([1e308, 1e308, -1e308]).astype(complex)).eig.eigvals.tolist() == [
+        -1e308, 1e308, 1e308
+    ]
+    for bad in ([[0.0, 1e308], [-1e308, 0.0]], [[1e308, 1.5e308], [0.0, -1e308]]):
+        with pytest.raises(InputError, match="G deviates from Hermitian"):
+            generator.from_matrix(np.array(bad, complex))
+    # the deviation is reported in full when it is finite
+    with pytest.raises(InputError, match="deviates from symmetric by 1.600e\\+308"):
+        matkernel.require_symmetric(np.array([[0.0, 1.2e308], [-0.4e308, 0.0]], complex))
+    assert not recwarn.list
