@@ -1,4 +1,4 @@
-"""Exception and warning types, and the finiteness and allocation checks, shared across the package."""
+"""Exception and warning types, and the finiteness, integer and allocation checks, shared across the package."""
 
 import math
 import numbers
@@ -41,6 +41,13 @@ def require_finite(**values) -> None:
             raise InputError(f"{name} must be a finite number, got a number too large for a float") from None
         if not finite:
             raise InputError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_integer(value, least: int, rule: str) -> int:
+    """``value`` as an int; InputError stating ``rule`` unless it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InputError(f"{rule}, got {value!r}")
+    return int(value)
 
 
 def _allocate(shape, what: str) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel, metrology
-from .errors import ConditionNotVerifiedWarning, InputError, _allocate, require_finite
+from .errors import ConditionNotVerifiedWarning, InputError, _allocate, _require_integer, require_finite
 from .gaussian import DisentangledForm
 from .generator import DiscretizationGrid, Generator, HGParams, hg_mode, signal_projector
 from .regmodes import RegularizedModePair
@@ -175,18 +175,32 @@ def sample_homodyne(
 ) -> np.ndarray:
     """Draw homodyne outcomes, one row of n_samples per measured mode.
 
-    Outcomes are independent zero-mean Gaussians at the per-mode variance of the setup;
-    fixed non-negative seeds reproduce identical streams. n_samples is an integer >= 1, not a bool.
+    Outcomes are independent zero-mean Gaussians at the per-mode variance of the setup; a seed (integer >= 0)
+    reproduces its stream. n_samples is an integer >= 1; numpy integers count, a bool does not.
     """
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise InputError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
-    result = homodyne_fi(d, gen, setup)
-    out = _allocate((len(result.variances), n_samples), f"{n_samples} samples per measured mode")
-    np.random.default_rng(seed).standard_normal(out=out)
-    out *= np.sqrt(result.variances)[:, None]
+    out, rows = _sample_rows(d, gen, setup, n_samples, seed, keep=True)
+    for _ in rows:  # each step fills the next row of out
+        pass
     return out
+
+
+def _sample_rows(d, gen, setup, n_samples, seed, keep=False):
+    """(buffer, rows) of :func:`sample_homodyne`: the (k, n_samples) array if ``keep``, else one reused row; iterating
+    ``rows`` fills and yields each mode's row in mode order from one ``default_rng(seed)`` stream, so keep or not,
+    the values are the same."""
+    seed = _require_integer(seed, 0, "seed must be non-negative and an integer")
+    _require_integer(n_samples, 1, "n_samples must be an integer of at least 1")
+    scale = np.sqrt(homodyne_fi(d, gen, setup).variances)
+    out = _allocate((scale.size if keep else min(scale.size, 1), n_samples), f"{n_samples} samples per measured mode")
+    rng = np.random.default_rng(seed)
+
+    def fill(k):
+        row = out[k if keep else 0]
+        rng.standard_normal(out=row)
+        row *= scale[k]
+        return row
+
+    return out, map(fill, range(scale.size))
 
 
 def empirical_fi(
@@ -202,15 +216,17 @@ def empirical_fi(
     Gaussian outcome x with variance v(lambda) is (x^2/v - 1) v'/(2v), and
     (v'/(2v))^2 = FI_n / 2, so the estimate is the sum over modes of
     FI_n / 2 times the sample mean of (x^2/v - 1)^2, with v and FI_n read
-    from :func:`homodyne_fi`, scoring the samples a block at a time.
+    from :func:`homodyne_fi`. The samples are :func:`sample_homodyne`'s, drawn
+    and scored one measured mode at a time: one row of 8 * n_samples bytes.
     """
-    return _score_fi(homodyne_fi(d, gen, setup), sample_homodyne(d, gen, setup, n_samples, seed))
+    return _score_fi(homodyne_fi(d, gen, setup), _sample_rows(d, gen, setup, n_samples, seed)[1])
 
 
-def _score_fi(base: HomodyneResult, samples: np.ndarray) -> float:
-    """:func:`empirical_fi` from ``samples`` drawn at ``base``'s setup, scored ``_BLOCK`` at a time, left unchanged."""
-    buf, total = np.empty(min(_BLOCK, samples.shape[1])), 0.0
-    for fi_n, v, x in zip(base.per_mode_fi, base.variances, samples):
+def _score_fi(base: HomodyneResult, rows) -> float:
+    """:func:`empirical_fi` from ``rows`` drawn at ``base``'s setup, one per measured mode: an array, or
+    any iterable of rows such as ``_sample_rows``'s. Each row is scored ``_BLOCK`` at a time, left unchanged."""
+    buf, total = np.empty(_BLOCK), 0.0  # rows may come one at a time, so their length is not known here
+    for fi_n, v, x in zip(base.per_mode_fi, base.variances, rows):
         sq_sum = 0.0
         for start in range(0, x.size, _BLOCK):
             y = np.square(x[start:start + _BLOCK], out=buf[: min(_BLOCK, x.size - start)])

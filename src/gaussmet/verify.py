@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import focksim, metrology
-from .errors import InputError, TailTooLargeError, _allocate
+from .errors import TailTooLargeError, _allocate, _require_integer
 from .gaussian import DisentangledForm
 from .generator import from_matrix
 
@@ -32,11 +32,9 @@ def _at(k: int, seed: int) -> str:
     return f" at trial {k} (seed {seed + k})"
 
 
-def _require_run(trials: int, seed: int) -> None:
-    if trials < 1:
-        raise InputError(f"trial count must be at least 1, got {trials}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+def _require_run(trials: int, seed: int) -> tuple[int, int]:
+    return (_require_integer(trials, 1, "trial count must be at least 1 and an integer"),
+            _require_integer(seed, 0, "seed must be non-negative and an integer"))
 
 
 def _least(name: str, trials: int, values: np.ndarray, what: str, seed: int) -> SuiteReport:
@@ -79,7 +77,7 @@ def _grouped(trials: int, seed: int, m_max: int, draw) -> list[list[np.ndarray]]
 
 def suite_bound(trials: int, seed: int) -> SuiteReport:
     """QFI never exceeds the resource bound on random states/generators."""
-    _require_run(trials, seed)
+    trials, seed = _require_run(trials, seed)
     def draw(rng, m):  # generator, squeezing, displacement, and the Gaussian matrix of the mode unitary
         h = random_hermitian(rng, m)
         r = rng.uniform(0.0, 2.0, m) * rng.integers(0, 2, m)
@@ -111,7 +109,7 @@ def random_small_state(rng: np.random.Generator, m: int) -> DisentangledForm:
 
 def suite_oracle(trials: int, seed: int) -> SuiteReport:
     """Gaussian engine agrees with the truncated Fock oracle."""
-    _require_run(trials, seed)
+    trials, seed = _require_run(trials, seed)
     devs, deficits = _allocate((2, trials), f"{trials} trial results")
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
@@ -150,7 +148,7 @@ def suite_oracle(trials: int, seed: int) -> SuiteReport:
 
 def suite_lemma2(trials: int, seed: int) -> SuiteReport:
     """The trace inequality holds on random Hermitian/PSD pairs."""
-    _require_run(trials, seed)
+    trials, seed = _require_run(trials, seed)
     def draw(rng, m):  # H, then Q's eigenvectors (as the Gaussian matrix they come from) and eigenvalues
         return random_hermitian(rng, m), _gaussian(rng, m), rng.chisquare(2.0, m)
 

@@ -181,6 +181,31 @@ def test_homodyne_draws_samples_once(fixture_paths, capsys, tmp_path, monkeypatc
         assert text == "".join("%.12g\n" % x for x in row)
 
 
+@pytest.mark.parametrize("precision", [[], ["--full-precision"]])
+def test_homodyne_samples_without_csv_print_the_api_estimate(fixture_paths, capsys, tmp_path, monkeypatch, precision):
+    # without --samples-out the rows are drawn and scored one at a time, and
+    # sample_homodyne's whole array is never made
+    state_path, gen_path, _ = fixture_paths
+    calls = {"homodyne_fi": 0, "sample_homodyne": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(measurement, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, name, counted)
+    rc = cli.run(["homodyne", "--state", state_path, "--generator", gen_path,
+                  "--samples", "3000", "--seed", "4", *precision])
+    assert rc == 0, capsys.readouterr().err
+    assert calls == {"homodyne_fi": 2, "sample_homodyne": 0}
+    monkeypatch.undo()
+    payload = json.loads(capsys.readouterr().out)
+    d = disentangle(jsonio.state_from_dict(jsonio.load_json(state_path)))
+    gen = jsonio.generator_from_dict(jsonio.load_json(gen_path))
+    expected = measurement.empirical_fi(d, gen, measurement.HomodyneSetup(mode_indices=(0, 1)), 3000, 4)
+    assert payload["empirical_fi"] == jsonio.round_floats(expected, 17 if precision else 12)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json", "state.json"]  # no CSV
+
+
 def test_homodyne_writes_finite_fi_at_high_squeezing(tmp_path, capsys):
     # at r = 10, cosh^2 20 - sinh^2 20 cancels to 0 in floating point
     state = {

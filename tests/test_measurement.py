@@ -617,3 +617,75 @@ def test_sampling_rejects_counts_past_memory(n_samples):
     for fn in (measurement.sample_homodyne, measurement.empirical_fi):
         with pytest.raises(InputError, match=f"cannot allocate {n_samples} samples"):
             fn(d, GEN13, setup, n_samples, seed=0)
+
+
+def _row_draw_cases():
+    """(d, gen, setup) with k = 1, 2, 3 measured modes, auto and explicit phases, and a lossy setup."""
+    gen = generator.from_matrix(np.diag([0.7, -1.3, 2.1]).astype(complex))
+    d = _probe(3, [0.4, 1.5, 2.5])
+    return [
+        (d, gen, HomodyneSetup(mode_indices=(1,))),
+        (d, gen, HomodyneSetup(mode_indices=(2, 0), phases=(0.3, 1.1))),
+        (d, gen, HomodyneSetup(mode_indices=(0, 1, 2), eta=0.8, sigma_env_sq=1.3, true_param=0.02)),
+        (d, gen, HomodyneSetup(mode_indices=(0, 1, 2), phases=(0.2, -0.4, 2.0), eta=0.6)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("case", range(4))
+def test_row_draw_matches_whole_array_draw_bitwise(n, case):
+    # drawing a row at a time reads the same stream as one (k, N) draw, and the
+    # estimate scores exactly the rows sample_homodyne returns
+    d, gen, setup = _row_draw_cases()[case]
+    seed = 31 * case + n
+    variances = measurement.homodyne_fi(d, gen, setup).variances
+    whole = np.random.default_rng(seed).standard_normal((len(variances), n)) * np.sqrt(variances)[:, None]
+    rows = measurement.sample_homodyne(d, gen, setup, n, seed)
+    assert rows.tobytes() == whole.tobytes()
+    estimate = measurement.empirical_fi(d, gen, setup, n, seed)
+    assert estimate.hex() == measurement._score_fi(measurement.homodyne_fi(d, gen, setup), rows).hex()
+
+
+def test_score_fi_takes_any_iterable_of_rows():
+    d, gen, setup = _row_draw_cases()[2]
+    base = measurement.homodyne_fi(d, gen, setup)
+    rows = measurement.sample_homodyne(d, gen, setup, 1000, 5)
+    assert measurement._score_fi(base, iter(list(rows))) == measurement._score_fi(base, rows)
+
+
+def test_empirical_fi_holds_one_measured_mode_at_a_time():
+    d, gen, setup = _row_draw_cases()[2]  # three measured modes
+    tracemalloc.start()
+    try:
+        measurement.empirical_fi(d, gen, setup, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20  # one 7.6 MiB row and one scoring block; the whole (3, N) draw peaked at 23.4 MiB
+
+
+_NOT_INTEGERS = [2.5, True, "3", None, float("nan")]
+
+
+@pytest.mark.parametrize("seed", _NOT_INTEGERS)
+def test_sampling_rejects_seeds_that_are_not_integers(seed):
+    d, gen, setup = _row_draw_cases()[0]
+    for fn in (measurement.sample_homodyne, measurement.empirical_fi):
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            fn(d, gen, setup, 10, seed)
+
+
+@pytest.mark.parametrize("n_samples", _NOT_INTEGERS)
+def test_sampling_rejects_counts_that_are_not_integers(n_samples):
+    d, gen, setup = _row_draw_cases()[0]
+    for fn in (measurement.sample_homodyne, measurement.empirical_fi):
+        with pytest.raises(InputError, match="n_samples must be an integer of at least 1"):
+            fn(d, gen, setup, n_samples, 0)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint32, np.int8])
+def test_sampling_reads_numpy_integer_seeds_as_ints(kind):
+    d, gen, setup = _row_draw_cases()[1]
+    x = measurement.sample_homodyne(d, gen, setup, kind(7), kind(11))
+    assert x.tobytes() == measurement.sample_homodyne(d, gen, setup, 7, 11).tobytes()
+    assert measurement.empirical_fi(d, gen, setup, kind(7), kind(11)) == measurement.empirical_fi(d, gen, setup, 7, 11)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaussmet import metrology, verify
+from gaussmet.errors import InputError
 from gaussmet.gaussian import DisentangledForm
 from gaussmet.generator import from_matrix
 
@@ -58,3 +59,25 @@ def test_trial_in_its_group_equals_the_trial_alone(suite_values, suite):
     for k in range(40):
         single, _ = suite_values(suite, 1, seed + k)
         assert single[0].tobytes() == grouped[k].tobytes()
+
+
+_NOT_INTEGERS = [2.5, True, "3", None, float("nan")]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS)
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_seeds_and_trial_counts_must_be_integers(suite, value):
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        verify.run_suites([suite], 2, value)
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        verify.SUITES[suite](2, value)
+    with pytest.raises(InputError, match="trial count must be at least 1"):
+        verify.run_suites([suite], value, 0)
+    with pytest.raises(InputError, match="trial count must be at least 1"):
+        verify.SUITES[suite](value, 0)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+def test_numpy_integer_seeds_and_trial_counts_read_as_ints(kind):
+    names = list(verify.SUITES)
+    assert verify.run_suites(names, kind(3), kind(5)) == verify.run_suites(names, 3, 5)
