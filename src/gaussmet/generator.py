@@ -52,6 +52,13 @@ class Generator:
     def n_modes(self) -> int:
         return self.G.shape[-1]
 
+    def __getitem__(self, index) -> Generator:
+        """The generators at ``index`` of a stack's leading axes, sharing its eigendecomposition and signal cache."""
+        eig = matkernel.HermitianEig(self.eig.eigvals[index], self.eig.U[index])
+        part = Generator(self.G[index], eig, self.signal_tol, self.basis_label, self.meta)
+        part.__dict__["_signal"] = tuple(a[index] for a in self._signal)  # the stack's cache, sliced
+        return part
+
     @cached_property
     def _signal(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only idler mask and signal projector; a zero matrix, even in a stack, is all idlers."""

@@ -78,18 +78,21 @@ def sigma_env_from_thermal(n_thermal: float, eta: float) -> float:
 
     The 1/(1 - eta) factor keeps the injected thermal photon number
     independent of the transmissivity; at eta = 1 the environment is
-    irrelevant and the vacuum value is returned.
+    irrelevant and the vacuum value is returned. Like ``HomodyneSetup``, it
+    raises InputError unless n_thermal >= 0 and eta in (0, 1] are finite numbers.
     """
     require_finite(n_thermal=n_thermal)
     if n_thermal < 0.0:
         raise InputError("n_thermal must be nonnegative")
-    if eta >= 1.0 or n_thermal == 0.0:
+    HomodyneSetup(mode_indices=(), eta=eta)  # its eta rule
+    if eta == 1.0 or n_thermal == 0.0:
         return 1.0
     return 2.0 * n_thermal / (1.0 - eta) + 1.0
 
 
-def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...]):
-    """Arrays (g, r) of the measured modes after checking each is an eigenmode.
+def _eigenmode_data(d: DisentangledForm, gen: Generator, measured: np.ndarray):
+    """Per mode of a probe, or of each probe of a stack with its stack of generators: (g, coupling, alpha,
+    scale); ``measured`` flags the measured modes. Only a probe with a cluster to turn (see below) loops in Python.
 
     Gtilde = ``metrology.build_workspace(d, gen.G)`` is the generator in
     the probe's product basis. If Gtilde e_n = g_n e_n, the imprint maps
@@ -100,34 +103,32 @@ def _eigenmode_data(d: DisentangledForm, gen: Generator, modes: tuple[int, ...])
     unsqueezed), which leaves the state unchanged; so each such cluster that
     holds a measured mode and that Gtilde couples is first turned, with its
     displacements, to the eigenbasis of Re Gtilde (of Gtilde if unsqueezed).
+    Then g is the diagonal of Gtilde, and a mode is an eigenmode when its
+    coupling, the largest off-diagonal entry of its column, is at most _DIAG_TOL * scale.
     """
-    if any(not 0 <= n < d.n_modes for n in modes):
-        raise InputError(f"measured mode indices must lie in [0, {d.n_modes}), got {modes}")
     gt = metrology.build_workspace(d, gen.G)
-    alpha = d.alpha.copy()
-    scale = max(1.0, matkernel.max_norm(gen.G))
-    gap = matkernel._R_GAP * max(1.0, float(d.r.max()))
-    order = np.argsort(d.r, kind="stable")  # stable: numpy's default sort kernel costs 0.25 MiB RSS
-    for sl in matkernel._cluster_slices(d.r[order], gap):
-        c = sorted(order[sl].tolist())  # index order: the order of r would permute the turned modes
-        if len(c) < 2 or set(modes).isdisjoint(c):
-            continue
-        block = gt[np.ix_(c, c)]
-        if matkernel.max_norm(block - np.diag(np.diag(block))) > _DIAG_TOL * scale:
-            rot = np.linalg.eigh(block if d.r[c].max() <= gap else block.real)[1]
-            gt[:, c] = gt[:, c] @ rot
-            gt[c, :] = rot.conj().T @ gt[c, :]
-            alpha[c] = rot.conj().T @ alpha[c]
-    idx = list(modes)
-    coupling = np.abs(gt - np.diag(gt.diagonal()))[:, idx].max(axis=0, initial=0.0)
-    bad = np.flatnonzero(coupling > _DIAG_TOL * scale)
-    if bad.size:
-        raise InputError(
-            f"state mode {modes[bad[0]]} is not a generator eigenmode (coupling {coupling[bad[0]]:.3e})"
-        )
-    if alpha[idx].any():
-        raise InputError("homodyne formulas assume squeezed-vacuum modes; measured mode is displaced")
-    return gt.diagonal()[idx].real, d.r[idx]
+    alpha, m = d.alpha.copy(), d.n_modes
+    scale = np.maximum(1.0, np.abs(gen.G).max(axis=(-2, -1)))
+    gap = matkernel._R_GAP * np.maximum(1.0, d.r.max(axis=-1))
+    off = np.abs(gt - gt.diagonal(axis1=-2, axis2=-1)[..., None, :] * np.eye(m))
+    r_sorted = np.sort(d.r, axis=-1, kind="stable")  # a cluster to turn needs two near-equal r and a coupling
+    near = (r_sorted[..., 1:] - r_sorted[..., :-1] < gap[..., None]).any(axis=-1)
+    turn = near & (off.max(axis=(-2, -1)) > _DIAG_TOL * scale)
+    for p in map(tuple, np.argwhere(turn) if turn.any() else ()):
+        g_p, a_p, r_p = gt[p], alpha[p], d.r[p]
+        order = np.argsort(r_p, kind="stable")  # stable: numpy's default sort kernel costs 0.25 MiB RSS
+        for sl in matkernel._cluster_slices(r_p[order], gap[p]):
+            c = sorted(order[sl].tolist())  # index order: the order of r would permute the turned modes
+            if len(c) < 2 or not measured[p][c].any():
+                continue
+            block = g_p[np.ix_(c, c)]
+            if matkernel.max_norm(block - np.diag(np.diag(block))) > _DIAG_TOL * scale[p]:
+                rot = np.linalg.eigh(block if r_p[c].max() <= gap[p] else block.real)[1]
+                g_p[:, c] = g_p[:, c] @ rot
+                g_p[c, :] = rot.conj().T @ g_p[c, :]
+                a_p[c] = rot.conj().T @ a_p[c]
+        off[p] = np.abs(g_p - np.diag(g_p.diagonal()))
+    return gt.diagonal(axis1=-2, axis2=-1).real, off.max(axis=-2), alpha, scale
 
 
 def homodyne_fi(d: DisentangledForm, gen: Generator, setup: HomodyneSetup) -> HomodyneResult:
@@ -142,28 +143,55 @@ def homodyne_fi(d: DisentangledForm, gen: Generator, setup: HomodyneSetup) -> Ho
     (1 - eta) sigma_env^2) is a sum of non-negative terms; at eta = 1
     the contribution is the eigenmode QFI share 8 g^2 s^2 (s^2 + 1).
     """
-    return _homodyne_result(*_eigenmode_data(d, gen, setup.mode_indices), setup)
+    modes, eta, m = setup.mode_indices, setup.eta, d.n_modes
+    if any(not 0 <= n < m for n in modes):
+        raise InputError(f"measured mode indices must lie in [0, {m}), got {modes}")
+    idx, measured = list(modes), np.zeros(m, dtype=bool)
+    measured[idx] = True
+    g, coupling, alpha, scale = _eigenmode_data(d, gen, measured)
+    bad = np.flatnonzero(coupling[idx] > _DIAG_TOL * scale)
+    if bad.size:
+        mode, value = modes[bad[0]], coupling[idx][bad[0]]
+        raise InputError(f"state mode {mode} is not a generator eigenmode (coupling {value:.3e})")
+    if alpha[idx].any():
+        raise InputError("homodyne formulas assume squeezed-vacuum modes; measured mode is displaced")
+    parts = _mode_fi(g[idx], d.r[idx], eta, eta**2, (1.0 - eta) * setup.sigma_env_sq, setup.phases, setup.true_param)
+    fi, var, phi = (tuple(a.tolist()) for a in parts)
+    return HomodyneResult(fi=float(sum(fi)), per_mode_fi=fi, variances=var, phases_used=phi)
 
 
-def _homodyne_result(g: np.ndarray, r: np.ndarray, setup: HomodyneSetup) -> HomodyneResult:
-    """:func:`homodyne_fi` from the measured modes' (g, r) of :func:`_eigenmode_data`."""
-    eta, lam = setup.eta, setup.true_param
-    noise = (1.0 - eta) * setup.sigma_env_sq
+def _table_fi(d: DisentangledForm, gen: Generator, setups) -> np.ndarray:
+    """Auto-phase :func:`homodyne_fi` of each probe of a stack, measuring its squeezed modes, at each
+    setup: one array over the stack's axes and the setups, each entry homodyne_fi's value to the bit,
+    and NaN where no mode is squeezed or homodyne_fi would raise InputError."""
+    measured = d.r > 0
+    g, coupling, alpha, scale = _eigenmode_data(d, gen, measured)
+    bad = measured & ((coupling > _DIAG_TOL * scale[..., None]) | (alpha != 0))
+    # the setups on an axis of their own; eta**2 is rounded as homodyne_fi's float ** rounds it
+    eta, eta_sq, noise = (np.array(v)[:, None] for v in zip(*((s.eta, s.eta**2, (1.0 - s.eta) * s.sigma_env_sq)
+                                                                for s in setups)))
+    fi = _mode_fi(g[..., None, :], d.r[..., None, :], eta, eta_sq, noise)[0]
+    total = np.cumsum(np.where(measured[..., None, :], fi, 0.0), axis=-1)[..., -1]  # homodyne_fi's sum, in mode order
+    return np.where((measured.any(axis=-1) & ~bad.any(axis=-1))[..., None], total, np.nan)
+
+
+def _mode_fi(g: np.ndarray, r: np.ndarray, eta, eta_sq, noise, phases="auto", lam=0.0):
+    """Per-mode arrays (fi, variance, phase) of :func:`homodyne_fi` for modes of eigenvalue g and squeezing r,
+    at transmissivity eta (eta_sq = eta**2) and environment noise (1 - eta) sigma_env^2, all broadcast."""
     b = eta * np.sinh(2.0 * r)
-    if setup.phases == "auto":
+    if phases == "auto":
         c = eta * np.cosh(2.0 * r)
-        den = eta**2 + noise * (2.0 * c + noise)
+        den = eta_sq + noise * (2.0 * c + noise)
         phi = 0.5 * np.arctan2(np.sqrt(den), b) - g * lam + 0.5 * np.pi
         var = den / (2.0 * (c + noise))
         fi = 2.0 * (b * g) ** 2 / den
     else:
-        phi = np.array(setup.phases, dtype=float)
+        phi = np.array(phases, dtype=float)
         half = phi + g * lam
         var = (eta * (np.exp(2.0 * r) * np.cos(half) ** 2 + np.exp(-2.0 * r) * np.sin(half) ** 2)
                + noise) / 2.0
         fi = (b * g * np.sin(2.0 * half)) ** 2 / (2.0 * var**2)
-    fi, var, phi = (tuple(a.tolist()) for a in (fi, var, phi))
-    return HomodyneResult(fi=float(sum(fi)), per_mode_fi=fi, variances=var, phases_used=phi)
+    return fi, var, phi
 
 
 def sample_homodyne(

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import measurement, metrology, optimal
-from .errors import GaussmetError, InputError, RegularizationWarning, require_finite
+from . import matkernel, measurement, metrology, optimal
+from .errors import InputError, RegularizationWarning, require_finite
 from .gaussian import DisentangledForm
 from .generator import SHIFT_DOMAINS as SCENARIO_KINDS, Generator, _hg_ladder, from_matrix
 from .metrology import ResourceTriple
@@ -206,32 +206,47 @@ def _scenario_targets(cfg: ScenarioConfig) -> tuple[float, float]:
     return float(gbar), float(dg)
 
 
-def table_probe(kind: str, n_signal: float, gbar: float, dg: float, build=from_matrix):
+def table_probe(kind: str, n_signal, gbar: float, dg: float):
     """Ideal probe of one table family at exactly the given resources.
 
     Returns (state, generator); each family gets the smallest generator
     whose spectrum realizes the required eigenvalues exactly. The optimal
-    family needs dg > 0 (InputError otherwise). ``build`` makes the generator from its matrix.
+    family needs dg > 0 (InputError otherwise). An array ``n_signal`` gives
+    the family as one stack over its axes, built by one ``from_matrix`` call
+    and ``build_probe``'s constructors: a stacked state and a stacked generator
+    with one matrix per photon number (only the optimal family's eigenvalues
+    move with N, by at most an ulp). Each probe equals its scalar call's to the bit.
     """
+    g, factors = _table_family(kind, n_signal, gbar, dg)
+    gen = from_matrix(g)
+    return DisentangledForm(*factors(gen)), gen
+
+
+def _table_family(kind: str, n_signal, gbar: float, dg: float):
+    """:func:`table_probe`'s generator matrices, stacked over ``n_signal``'s shape and checked finite
+    as ``from_matrix`` would, and the function giving the state's (V, alpha, r) against them."""
+    shape, spec = np.shape(n_signal), None
     if kind == "derivative_displaced":
-        gen = build(np.array([[gbar, 1j * dg], [-1j * dg, gbar]], dtype=complex))
-        spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal)
+        g = np.array([[gbar, 1j * dg], [-1j * dg, gbar]], dtype=complex)
     elif kind in ("coherent", "mean_optimal"):
-        gen = build(np.diag([gbar - dg, gbar + dg]).astype(complex))
-        if kind == "coherent":
-            amp = np.sqrt(n_signal / 2.0)
-            alpha = np.array([amp, amp], complex)
-            return DisentangledForm(V=np.eye(2, dtype=complex), alpha=alpha, r=np.zeros(2)), gen
-        # squeeze the equal superposition of the two eigenmodes
-        spec = optimal.ProbeSpec(
-            kind=kind, n_signal=n_signal, mode_vector=np.array([1.0, 1.0], complex) / np.sqrt(2.0)
-        )
+        g = np.diag([gbar - dg, gbar + dg]).astype(complex)
     else:
         spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal, target_gmean=gbar, target_gvar=dg**2)
         if kind not in ("optimal", "variance_optimal"):
             raise InputError(f"unknown probe family {kind!r}")
-        gen = build(np.diag(optimal._pair_split(spec)[2:]).astype(complex))
-    return optimal.build_probe(spec, gen).state, gen
+        g = np.zeros(shape + (2, 2), dtype=complex)  # the matched eigenvalues move with N, by an ulp at most
+        g[..., 0, 0], g[..., 1, 1] = optimal._pair_split(spec)[2:]
+
+    def factors(gen: Generator) -> tuple:
+        if kind == "coherent":
+            amp = np.sqrt(np.asarray(n_signal) / 2.0).astype(complex)
+            return optimal._phase_diag(shape, 2, []), np.stack([amp, amp], axis=-1), np.zeros(shape + (2,))
+        # the mean-optimal probe squeezes the equal superposition of the two eigenmodes
+        vector = np.array([1.0, 1.0], complex) / np.sqrt(2.0) if kind == "mean_optimal" else None
+        probe = spec or optimal.ProbeSpec(kind=kind, n_signal=n_signal, mode_vector=vector)
+        return optimal._probe_factors(probe, gen)[0]
+
+    return matkernel.require_finite(np.broadcast_to(g, shape + (2, 2)), "G"), factors
 
 
 TABLE_KINDS = ("coherent", "mean_optimal", "derivative_displaced", "variance_optimal", "optimal")
@@ -243,45 +258,31 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     One row per (probe kind, signal photon number, transmissivity):
     engine QFI, resource bound, auto-phase homodyne FI at the given
     transmissivity (one ``HomodyneSetup`` each), and direct-detection FI.
-    One engine pass over the stacked probes and their generators, stacked
-    by ``from_matrix``, gives every cell its per-probe value; homodyne
-    entries, per probe, are NaN for probes with no squeezed mode and for
-    families the eigenmode formulas do not cover (displaced or off-eigenbasis).
+    Each family is one stack over the photon numbers, built as
+    :func:`table_probe` builds it; one ``from_matrix`` call makes every
+    family's generators at once. One engine pass over the (family, photon
+    number) stack and one homodyne pass over (probe, transmissivity) give
+    every cell its per-probe call's value to the bit. Homodyne entries are
+    NaN for probes with no squeezed mode and for probes the eigenmode
+    formulas do not cover (displaced or off-eigenbasis).
     """
     gbar, dg = _scenario_targets(cfg)
-    ns_values = cfg.sweep.get("n_signal", [cfg.n_signal])
-    etas = cfg.sweep.get("eta", [1.0])
-    # _homodyne_result reads the setup's eta alone; each probe's measured modes come from _eigenmode_data
-    setups = [measurement.HomodyneSetup(mode_indices=(), eta=float(eta)) for eta in etas]
-    built = {}  # generators by their matrix's bytes: most families' matrices do not change with N
-
-    def build(g: np.ndarray) -> Generator:
-        if (key := g.tobytes()) not in built:
-            built[key] = from_matrix(g)
-        return built[key]
-
-    probes, homodyne = [], []
-    for kind in TABLE_KINDS:
-        for n_signal in ns_values:
-            state, gen = table_probe(kind, float(n_signal), gbar, dg, build)
-            probes.append((kind, state, gen))
-            modes = tuple(int(k) for k in np.nonzero(state.r > 0)[0])
-            try:  # the eigenmode pass depends on the probe alone, not on eta
-                data = measurement._eigenmode_data(state, gen, modes) if modes else None
-            except GaussmetError:
-                data = None
-            homodyne += [measurement._homodyne_result(*data, setup).fi if data else float("nan") for setup in setups]
-    kinds, states, gens = zip(*probes)
-    # every family is two-mode: np.stack refuses probes of different mode counts
-    state = DisentangledForm(*(np.stack([getattr(s, a) for s in states]) for a in ("V", "alpha", "r")))
-    gen = from_matrix(np.stack([g.G for g in gens]))
+    ns_values = np.array(cfg.sweep.get("n_signal", [cfg.n_signal]), dtype=float)
+    etas = [float(eta) for eta in cfg.sweep.get("eta", [1.0])]
+    # one setup per eta, which checks it; the homodyne pass measures every squeezed mode of each probe
+    setups = [measurement.HomodyneSetup(mode_indices=(), eta=eta) for eta in etas]
+    matrices, factors = zip(*(_table_family(kind, ns_values, gbar, dg) for kind in TABLE_KINDS))
+    gen = from_matrix(np.array(matrices))
+    state = DisentangledForm(*map(np.array, zip(*(family(gen[k]) for k, family in enumerate(factors)))))
     report = metrology.qfi(state, gen)
     res, direct = report.resources, measurement._direct_fi(state, gen, report.resources.g_mean)
     cells = (res.n_signal, res.g_mean, np.sqrt(res.g_var), report.qfi, report.bound, direct)
-    hom = iter(homodyne)
+    homodyne = measurement._table_fi(state, gen, setups).reshape(-1, len(etas)).tolist()
     return [
-        {"probe_kind": kind, "n_signal": n, "g_mean": g_mean, "g_sd": g_sd, "eta": float(eta), "qfi": value,
-         "bound": bound, "homodyne_fi": next(hom), "direct_fi": direct_fi}
-        for kind, n, g_mean, g_sd, value, bound, direct_fi in zip(kinds, *(c.tolist() for c in cells))
-        for eta in etas
+        {"probe_kind": kind, "n_signal": n, "g_mean": g_mean, "g_sd": g_sd, "eta": eta, "qfi": value,
+         "bound": bound, "homodyne_fi": hom, "direct_fi": direct_fi}
+        for kind, n, g_mean, g_sd, value, bound, direct_fi, hom_row in zip(
+            [kind for kind in TABLE_KINDS for _ in ns_values], *(c.ravel().tolist() for c in cells), homodyne
+        )
+        for eta, hom in zip(etas, hom_row)
     ]

@@ -898,6 +898,24 @@ def test_scenario_tiny_sigma_z_exit_3(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "scenario_golden")
+with open(os.path.join(_GOLDEN, "cases.json"), encoding="utf-8") as _handle:
+    _GOLDEN_CASES = json.load(_handle)
+
+
+@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[case["name"] for case in _GOLDEN_CASES])
+@pytest.mark.parametrize("digits", ["12", "17"])
+def test_scenario_csv_matches_golden_bytes(case, digits, tmp_path, capsys):
+    # the tables of all four kinds, with photon numbers from 1e-30 to 1e8, a repeated photon number and
+    # a single (N, eta) cell, stay byte for byte what tests/data/scenario_golden holds, at both precisions
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "table.csv"
+    cfg_path.write_text(json.dumps(case["config"]), encoding="utf-8")
+    argv = ["scenario", "--kind", case["kind"], "--config", str(cfg_path), "--out", str(out)]
+    assert cli.run(argv + ["--full-precision"] * (digits == "17")) == 0, capsys.readouterr().err
+    with open(os.path.join(_GOLDEN, f"{case['name']}_{digits}.csv"), "rb") as handle:
+        assert out.read_bytes() == handle.read()
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")

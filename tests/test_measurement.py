@@ -486,6 +486,17 @@ def test_thermal_knob():
     assert measurement.sigma_env_from_thermal(2.0, 0.5) == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("eta, error", [(float("nan"), "eta must be a finite number"), (float("inf"), "eta must be"),
+                                        (-3.0, r"eta must lie in \(0, 1\]"), (0.0, r"eta must lie in \(0, 1\]"),
+                                        (1.5, r"eta must lie in \(0, 1\]"), ("x", "eta must be a finite number"),
+                                        (True, "eta must be a finite number")])
+def test_thermal_knob_rejects_eta_as_homodyne_setup_does(eta, error):
+    for n_thermal in (0.0, 0.5):
+        with pytest.raises(InputError, match=error):
+            measurement.sigma_env_from_thermal(n_thermal, eta)
+    assert measurement.sigma_env_from_thermal(0.5, 1.0) == 1.0 and measurement.sigma_env_from_thermal(0.5, 1) == 1.0
+
+
 def test_homodyne_rejects_displaced_measured_mode():
     d = DisentangledForm(V=np.eye(2, dtype=complex), alpha=np.array([0.0, 0.5j]), r=np.array([0.4, 0.7]))
     with pytest.raises(InputError, match="displaced"):

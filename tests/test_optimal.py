@@ -298,3 +298,33 @@ def test_mode_choice_checked_against_kind(kind, modes):
 def test_probe_spec_rejects_bad_squeeze_angles(angles):
     with pytest.raises(InputError, match="squeeze_angles"):
         optimal.ProbeSpec(kind="optimal", n_signal=2.0, squeeze_angles=angles)
+
+
+@pytest.mark.parametrize("kind", optimal.PROBE_KINDS)
+@pytest.mark.parametrize("modes", [None, "explicit"])
+def test_build_probe_photon_number_axis_is_the_stack_of_scalar_builds(kind, modes):
+    # a dense 5-mode generator with two idlers; every kind, auto-matched or on explicit modes. The
+    # derivative-displaced kind needs a coupled pair of basis modes with equal diagonal entries instead
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    g = (q * np.array([-1.5, 0.0, 0.7, 0.0, 2.0])) @ q.conj().T
+    choice = {"mean_optimal": (3,), "idler_assisted": (0, 1, 4, 3)}.get(kind, (0, 2)) if modes else None
+    if kind == "derivative_displaced":
+        i, j = choice or (0, 1)
+        g = np.diag([2.0, -1.0, 0.5, 3.0, 0.0]).astype(complex)
+        g[i, i] = g[j, j] = 0.4
+        g[i, j], g[j, i] = 1.1j, -1.1j
+    gen = generator.from_matrix(g)
+    ns = np.array([1e-12, 0.3, 2.0, 2.0, 50.0])
+    kw = dict(kind=kind, target_gmean=0.4, target_gvar=1.2, squeeze_angles=(0.3, -1.1), mode_choice=choice)
+    stacked = optimal.build_probe(optimal.ProbeSpec(n_signal=ns, **kw), gen)
+    alone = [optimal.build_probe(optimal.ProbeSpec(n_signal=float(n), **kw), gen) for n in ns]
+    for name in ("V", "alpha", "r"):
+        assert getattr(stacked.state, name).tobytes() == np.stack([getattr(a.state, name) for a in alone]).tobytes()
+    assert np.array_equal(np.broadcast_to(stacked.eigen_residual, ns.shape), [a.eigen_residual for a in alone])
+
+
+@pytest.mark.parametrize("ns", [[1.0, float("nan")], [1.0, float("inf")], [True, False], ["1", "2"], [[1.0], [-2.0]]])
+def test_probe_spec_checks_every_photon_number_of_an_axis(ns):
+    with pytest.raises(InputError, match="n_signal"):
+        optimal.ProbeSpec(kind="optimal", n_signal=np.array(ns) if ns != ["1", "2"] else ns)

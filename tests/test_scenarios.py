@@ -400,16 +400,55 @@ def test_run_scenario_matches_per_row_calls(kind):
     assert np.isnan(hom).any() and not np.isnan(hom).all()
 
 
-def test_run_scenario_builds_each_generator_once_per_matrix(monkeypatch):
-    # only the optimal family's eigenvalues depend on N, and then at most in the last ulp;
-    # the coherent, mean-optimal and variance-optimal families share one matrix
-    built = []
-    monkeypatch.setattr(scenarios, "from_matrix", lambda g: built.append(g.tobytes()) or generator.from_matrix(g))
+def test_run_scenario_builds_one_generator_stack_and_one_state_stack(monkeypatch):
+    # each family is one stack over the photon numbers, whatever their count: the whole table takes one
+    # from_matrix call and one DisentangledForm, at most one of each per family
+    built, states = [], []
+    monkeypatch.setattr(scenarios, "from_matrix", lambda g: built.append(g.shape) or generator.from_matrix(g))
+    check = DisentangledForm.__post_init__
+    monkeypatch.setattr(DisentangledForm, "__post_init__", lambda self: states.append(np.shape(self.r)) or check(self))
     pair = RegularizedModePair(center_z=(3.0, -1.0), center_p=(8.0, 2.0), sigma_z=0.8, r=(0.5, 0.5))
     sweep = {"n_signal": [0.5, 4.0, 30.0, 4.0], "eta": [1.0, 0.75]}
     rows = scenarios.run_scenario(ScenarioConfig(kind="time_shift", pair=pair, n_signal=4.0, sweep=sweep))
     assert len(rows) == 5 * 4 * 2
-    assert len(set(built)) == len(built) and 3 <= len(built) <= 2 + len(set(sweep["n_signal"]))
+    assert built == [(5, 4, 2, 2)] and states == [(5, 4, 2)]
+
+
+_EDGE_SWEEPS = {
+    "edge_n": {"n_signal": [1e-30, 1e-12, 0.5, 1e8], "eta": [1.0, 0.75, 0.2]},
+    "repeated_n": {"n_signal": [1e8, 1e-30, 0.5, 1e-30], "eta": [0.2, 1.0]},
+    "one_cell": {"n_signal": [1e-12], "eta": [0.6]},
+}
+
+
+@pytest.mark.parametrize("kind", scenarios.SCENARIO_KINDS)
+@pytest.mark.parametrize("sweep", list(_EDGE_SWEEPS.values()), ids=list(_EDGE_SWEEPS))
+@pytest.mark.parametrize("carriers", [(8.0, 2.0), (5.0, -5.0)], ids=["distinct", "symmetric"])
+def test_run_scenario_matches_per_row_calls_at_edge_photon_numbers(kind, sweep, carriers):
+    # at N = 1e-30 the squeezed mode's r lies within takagi's gap of the unsqueezed one, so the eigenmode
+    # pass turns the pair first (the mean-optimal homodyne cell is then a number, not NaN); symmetric
+    # carriers squeeze both modes of the optimal probe equally at the p-domain kinds
+    pair = RegularizedModePair(center_z=(6.0, -6.0), center_p=carriers, sigma_z=0.8, r=(0.5, 0.5))
+    cfg = ScenarioConfig(kind=kind, pair=pair, n_signal=1.0, sweep=sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = scenarios.run_scenario(cfg)
+    assert repr(rows) == repr(_per_row_reference(cfg))
+
+
+_TABLE_NS = np.array([1e-30, 1e-12, 0.5, 4.0, 4.0, 1e8])
+
+
+@pytest.mark.parametrize("family", scenarios.TABLE_KINDS)
+@pytest.mark.parametrize("gbar, dg", [(5.0, 3.06), (-1.3, 0.6), (0.0, 2.0), (1e-9, 1e3)])
+def test_table_probe_array_is_the_stack_of_scalar_calls(family, gbar, dg):
+    state, gen = scenarios.table_probe(family, _TABLE_NS, gbar, dg)
+    assert state.r.shape == (_TABLE_NS.size, 2) and gen.G.shape == (_TABLE_NS.size, 2, 2)
+    alone = [scenarios.table_probe(family, float(n), gbar, dg) for n in _TABLE_NS]
+    for name in ("V", "alpha", "r"):
+        assert getattr(state, name).tobytes() == np.stack([getattr(s, name) for s, _ in alone]).tobytes(), name
+    assert gen.G.tobytes() == np.stack([g.G for _, g in alone]).tobytes()
+    assert gen.eig.U.tobytes() == np.stack([g.eig.U for _, g in alone]).tobytes()
 
 
 def test_run_scenario_evaluates_resources_once_per_table(monkeypatch):

@@ -77,6 +77,13 @@ def test_seeds_and_trial_counts_must_be_integers(suite, value):
         verify.SUITES[suite](value, 0)
 
 
+@pytest.mark.parametrize("trials, seed", [(2.5, None), (0, 0), (2, -1), (True, 0), (2, "3")])
+def test_run_suites_checks_its_arguments_with_no_suites(trials, seed):
+    with pytest.raises(InputError, match="must be"):
+        verify.run_suites([], trials, seed)
+    assert verify.run_suites([], 2, 0) == []
+
+
 @pytest.mark.parametrize("kind", [np.int64, np.uint16])
 def test_numpy_integer_seeds_and_trial_counts_read_as_ints(kind):
     names = list(verify.SUITES)
