@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import re
 import sys
 
@@ -213,12 +214,17 @@ def _cmd_homodyne(args) -> int:
         payload["empirical_fi"] = measurement._score_fi(result, samples)
     sig = _sig_digits(args)
     payload = jsonio.round_floats(payload, sig)
-    if args.samples_out:
-        line, block = f"%.{sig}g\n".__mod__, measurement._BLOCK  # one block of text at a time
-        for k, row in enumerate(samples):
+    line, block, written = f"%.{sig}g\n".__mod__, measurement._BLOCK, []  # one block of text at a time
+    try:
+        for k, row in enumerate(samples if args.samples_out else ()):
             chunks = ("".join(map(line, row[i:i + block].tolist())) for i in range(0, row.size, block))
-            jsonio._write_atomic(f"{args.samples_out}_mode{modes[k]}.csv", chunks)
-    _emit(payload, args.out)
+            jsonio._write_atomic(path := f"{args.samples_out}_mode{modes[k]}.csv", chunks)
+            written.append(path)
+        _emit(payload, args.out)
+    except OSError:  # a failed run leaves none of its files: the sample files written so far go
+        for path in written:
+            os.remove(path)
+        raise
     return 0
 
 

@@ -229,8 +229,6 @@ def apply_mode_transform(psi: np.ndarray, v: np.ndarray, cutoff: int) -> np.ndar
         raise TailTooLargeError(
             f"state has probability {tail:.3e} above {cutoff} photons; the lift keeps N <= cutoff only"
         )
-    if matkernel.max_norm(v - np.eye(n_modes)) < 1e-14:
-        return psi
     if n_modes == 1:
         return psi * v[0, 0] ** np.arange(cutoff + 1)
     x = np.append(flat_in[lattice.inside], 0j)  # x[-1] is the zero slot the pair tables pad with

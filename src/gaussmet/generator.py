@@ -9,7 +9,7 @@ a generator from a parameterized mode family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -35,15 +35,16 @@ _GRAM_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Generator:
-    """Hermitian generator with cached ascending eigendecomposition.
+    """Hermitian generator with its ascending eigendecomposition, as :func:`from_matrix` builds it.
 
-    ``eig.eigvals`` are ascending; modes whose eigenvalue magnitude is at
-    most ``signal_tol * max|g|`` are idlers, untouched by the transform.
-    ``G`` may be a stack of generators on leading axes (:func:`from_matrix`).
+    ``eig.eigvals`` are ascending; ``idler_mask`` (read-only) marks the modes whose eigenvalue
+    magnitude is at most ``signal_tol * max|g|``, idlers untouched by the transform.
+    ``G`` may be a stack of generators on leading axes.
     """
 
     G: np.ndarray
     eig: matkernel.HermitianEig
+    idler_mask: np.ndarray
     signal_tol: float = DEFAULT_SIGNAL_TOL
     basis_label: str = "a"
     meta: dict = field(default_factory=dict)
@@ -53,28 +54,15 @@ class Generator:
         return self.G.shape[-1]
 
     def __getitem__(self, index) -> Generator:
-        """The generators at ``index`` of a stack's leading axes, sharing its eigendecomposition and signal cache."""
+        """The generators at ``index`` of a stack's leading axes, sharing its eigendecomposition."""
         eig = matkernel.HermitianEig(self.eig.eigvals[index], self.eig.U[index])
-        part = Generator(self.G[index], eig, self.signal_tol, self.basis_label, self.meta)
-        part.__dict__["_signal"] = tuple(a[index] for a in self._signal)  # the stack's cache, sliced
-        return part
+        return replace(self, G=self.G[index], eig=eig, idler_mask=self.idler_mask[index])
 
     @cached_property
-    def _signal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only idler mask and signal projector; a zero matrix, even in a stack, is all idlers."""
-        g, u = np.abs(self.eig.eigvals), self.eig.U
-        mask = g <= self.signal_tol * g.max(axis=-1, keepdims=True, initial=0.0)
-        p = (u * (~mask)[..., None, :].astype(float)) @ u.conj().mT
-        mask.flags.writeable = p.flags.writeable = False
-        return mask, p
-
-    @property
-    def idler_mask(self) -> np.ndarray:
-        return self._signal[0]
-
-    @property
-    def idler_indices(self) -> np.ndarray:
-        return np.nonzero(self.idler_mask)[0]
+    def _projector(self) -> np.ndarray:
+        p = (self.eig.U * (~self.idler_mask)[..., None, :].astype(float)) @ self.eig.U.conj().mT
+        p.flags.writeable = False
+        return p
 
 
 def from_matrix(
@@ -83,20 +71,21 @@ def from_matrix(
     basis_label: str = "a",
     meta: dict | None = None,
 ) -> Generator:
-    """Wrap a Hermitian matrix, or a stack of them on leading axes, with its
-    ascending eigendecomposition; ``signal_tol`` lies in [0, 1)."""
+    """Wrap a Hermitian matrix, or a stack of them on leading axes, with its ascending eigendecomposition
+    and read-only idler mask; ``signal_tol`` lies in [0, 1). A zero matrix, even in a stack, is all idlers."""
     if not 0.0 <= signal_tol < 1.0:  # also rejects NaN
         raise InputError(f"signal_tol must be a number in [0, 1), got {signal_tol!r}")
     g_matrix = matkernel.require_hermitian(np.asarray(g_matrix, dtype=complex), name="G")
     eig = matkernel._hermitian_eig(g_matrix)
-    return Generator(
-        G=g_matrix, eig=eig, signal_tol=signal_tol, basis_label=basis_label, meta=meta or {}
-    )
+    g = np.abs(eig.eigvals)
+    mask = g <= signal_tol * g.max(axis=-1, keepdims=True, initial=0.0)
+    mask.flags.writeable = False
+    return Generator(g_matrix, eig, mask, signal_tol, basis_label, meta or {})
 
 
 def signal_projector(gen: Generator) -> np.ndarray:
-    """Projector onto the span of eigenvectors with nonzero eigenvalue, cached read-only on ``gen``."""
-    return gen._signal[1]
+    """Signal-eigenvector projector, cached read-only on ``gen`` at first use: the same object on repeat calls."""
+    return gen._projector
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,8 @@ derivative_displaced (2, 4), idler_assisted (8, 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Callable
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,21 +71,12 @@ class ProbeSpec:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """A built probe. Its resources against ``gen`` and its closed-form QFI,
-    ``predict`` of those resources, are evaluated on first read."""
+    """A built probe: its state, resources, eigenvalue-matching residual, and the QFI its construction predicts."""
 
     state: DisentangledForm
-    gen: Generator = field(repr=False)
+    achieved: metrology.ResourceTriple
     eigen_residual: float
-    predict: Callable[[metrology.ResourceTriple], float] = field(repr=False)
-
-    @cached_property
-    def achieved(self) -> metrology.ResourceTriple:
-        return metrology.resources(self.state, self.gen)
-
-    @cached_property
-    def predicted_qfi(self) -> float:
-        return self.predict(self.achieved)
+    predicted_qfi: float
 
 
 def _nearest_signal_index(gen: Generator, value, taken) -> np.ndarray:
@@ -299,10 +289,12 @@ def build_probe(spec: ProbeSpec, gen: Generator) -> ProbeResult:
 
     An array ``n_signal`` and a stacked generator broadcast: the result's
     state is one stack of probes over their common leading axes, each
-    built as it would be alone.
+    built as it would be alone. Resources and predicted QFI are evaluated here; the result holds no ``gen``.
     """
     (v, alpha, r), (residual, predict) = _probe_factors(spec, gen)
-    return ProbeResult(DisentangledForm(V=v, alpha=alpha, r=r), gen, eigen_residual=residual, predict=predict)
+    state = DisentangledForm(V=v, alpha=alpha, r=r)
+    achieved = metrology.resources(state, gen)
+    return ProbeResult(state, achieved, residual, predict(achieved))
 
 
 def _probe_factors(spec: ProbeSpec, gen: Generator) -> tuple:

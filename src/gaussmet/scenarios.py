@@ -217,6 +217,8 @@ def table_probe(kind: str, n_signal, gbar: float, dg: float):
     with one matrix per photon number (only the optimal family's eigenvalues
     move with N, by at most an ulp). Each probe equals its scalar call's to the bit.
     """
+    if kind not in TABLE_KINDS:
+        raise InputError(f"kind must be one of the table families {TABLE_KINDS}, got {kind!r}")
     g, factors = _table_family(kind, n_signal, gbar, dg)
     gen = from_matrix(g)
     return DisentangledForm(*factors(gen)), gen
@@ -232,8 +234,6 @@ def _table_family(kind: str, n_signal, gbar: float, dg: float):
         g = np.diag([gbar - dg, gbar + dg]).astype(complex)
     else:
         spec = optimal.ProbeSpec(kind=kind, n_signal=n_signal, target_gmean=gbar, target_gvar=dg**2)
-        if kind not in ("optimal", "variance_optimal"):
-            raise InputError(f"unknown probe family {kind!r}")
         g = np.zeros(shape + (2, 2), dtype=complex)  # the matched eigenvalues move with N, by an ulp at most
         g[..., 0, 0], g[..., 1, 1] = optimal._pair_split(spec)[2:]
 

@@ -886,6 +886,106 @@ def test_scenario_config_contract(kind, edits):
             assert np.isfinite(float(cell)) or name == "homodyne_fi" and cell == "nan"
 
 
+# argv for the other four subcommands: a valid base, then up to three options set from a token pool. "@name"
+# tokens are paths: an input file ("@state", "@gen", "@bad-<row>-state"/"-gen" from _BAD_INPUT_FILES), a
+# directory, a missing path, or an output in a fresh directory. A count is small or too large to allocate:
+# one in between would run for long.
+_TOKENS = ["nan", "inf", "-1", "-5e-05", "0", "1e-310", "1e308", _HUGE, "", "x", "0.5", "2", ",".join(["1"] * 40)]
+_COUNTS = ["1", "2", "0", "-1", "-5e-05", "1e308", _HUGE, "nan", "", "x"]
+_FILES = ["@state", "@gen", "@dir", "@missing"] + sorted(
+    f"@bad-{name}-{which}" for name, row in _BAD_INPUT_FILES.items() for which, text in zip(("state", "gen"), row)
+    if text is not None)
+_OUTS = ["@out/out.json", "@dir", "@missing"]
+_CONTRACT_OPTIONS = {
+    "qfi": {"--state": _FILES, "--generator": _FILES, "--out": _OUTS, "--full-precision": None},
+    "build-state": {
+        "--kind": sorted(cli._BUILD_KINDS) + ["x"], "--ns": _TOKENS, "--gbar": _TOKENS, "--dg": _TOKENS,
+        "--generator": _FILES, "--out": _OUTS, "--angles": _TOKENS, "--modes": _TOKENS + ["0,1", "1,0"],
+        "--spectrum-tol": _TOKENS, "--full-precision": None,
+    },
+    "homodyne": {
+        "--state": _FILES, "--generator": _FILES, "--eta": _TOKENS, "--nb": _TOKENS,
+        "--phases": _TOKENS + ["auto", "0,1", "nan,nan"], "--lambda": _TOKENS, "--modes": _TOKENS + ["0,1"],
+        "--samples": _COUNTS, "--seed": _TOKENS, "--samples-out": ["@out/s", "@dir", "@missing"], "--out": _OUTS,
+        "--full-precision": None,
+    },
+    "verify": {"--suite": [*verify.SUITES, "all", "x"], "--trials": _COUNTS, "--seed": _TOKENS},
+}
+_CONTRACT_BASE = {
+    "qfi": {"--state": "@state", "--generator": "@gen"},
+    "build-state": {"--kind": "optimal", "--ns": "2", "--gbar": "2", "--dg": "1", "--generator": "@gen",
+                    "--out": "@out/out.json"},
+    "homodyne": {"--state": "@state", "--generator": "@gen"},
+    "verify": {"--suite": "bound", "--trials": "1"},
+}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    texts = {"state": _state(f="[[[%r, 0], [0, 0]], [[0, 0], [%r, 0]]]" % ((float(np.arcsinh(1.0)),) * 2)), "gen": _gen()}
+    for name, row in _BAD_INPUT_FILES.items():
+        texts.update({f"bad-{name}-{which}": text for which, text in zip(("state", "gen"), row) if text is not None})
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text, encoding="utf-8")
+    (root / "dir").mkdir()
+    return root
+
+
+@st.composite
+def _contract_argv(draw):
+    command = draw(st.sampled_from(sorted(_CONTRACT_OPTIONS)))
+    options, argv = _CONTRACT_OPTIONS[command], dict(_CONTRACT_BASE[command])
+    for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+        argv[option] = options[option] and draw(st.sampled_from(options[option]))
+    return [command] + [t for option, value in argv.items() for t in (option, value) if t is not None]
+
+
+def _resolve(token, inputs, out_dir):
+    """The path an "@name" token names; any other token as it is."""
+    head, _, tail = token.partition("/")
+    places = {"@out": out_dir, "@dir": str(inputs / "dir"), "@missing": str(inputs / "no" / "f")}
+    if head in places:
+        return os.path.join(places[head], tail) if tail else places[head]
+    return str(inputs / f"{token[1:]}.json") if token.startswith("@") else token
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_contract_argv())
+# sample files written before a failed --out write are removed
+@example(argv=["homodyne", "--state", "@state", "--generator", "@gen", "--samples", "2", "--samples-out", "@out/s",
+               "--out", "@dir"])
+@example(argv=["homodyne", "--state", "@state", "--generator", "@gen", "--samples", "1", "--samples-out", "@out/s",
+               "--out", "@missing"])
+def test_subcommand_contract(contract_inputs, argv):
+    # qfi, build-state, homodyne and verify exit 0, 2, 3 or 4 with no traceback; a failed run writes nothing
+    inputs = sorted(os.listdir(contract_inputs))
+    with tempfile.TemporaryDirectory() as out_dir:
+        resolved = [_resolve(token, contract_inputs, out_dir) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(resolved)
+        out, err, written = out.getvalue(), err.getvalue(), sorted(os.listdir(out_dir))
+        assert rc in (0, 2, 3, 4) and "Traceback" not in err, (resolved, rc, err)
+        assert sorted(os.listdir(contract_inputs)) == inputs and not os.listdir(contract_inputs / "dir")
+        if rc != 0:
+            assert written == [], (resolved, rc, written)
+            assert err.startswith({2: "usage error:", 3: "error:", 4: ""}[rc]), (resolved, err)
+            return
+        assert err == ""
+        for name in written:
+            with open(os.path.join(out_dir, name), encoding="utf-8") as handle:
+                text = handle.read()
+            if name.endswith(".csv"):
+                assert all(np.isfinite(float(line)) for line in text.splitlines())
+            else:
+                _strict_json(text)
+    if argv[0] == "verify":
+        assert all(line.startswith("PASS ") for line in out.splitlines())
+    elif "--out" not in argv or argv[0] == "build-state":
+        _strict_json(out)
+
+
 @pytest.mark.parametrize("kind", ["time-shift", "frequency-shift", "beam-displacement", "beam-tilt"])
 def test_scenario_tiny_sigma_z_exit_3(tmp_path, capsys, kind):
     # 1/(2 sigma_z) overflows below about 2.8e-309; the message names sigma_z, not G

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib.util
 import json
 import pathlib
 import warnings
@@ -424,6 +425,18 @@ def test_src_raises_only_package_errors():
     }
     assert defined - caught - {"GaussmetError", "InputError"} == set()
 
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # the benchmark's tracer rebinds gaussmet.<layer>.<name> for each name in its LAYERS; a deleted name
+    # would fail only when the benchmark runs
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}" for layer, names in tracer.LAYERS.items() for name in names
+               if not callable(getattr(importlib.import_module(f"gaussmet.{layer}"), name, None))]
+    assert missing == []
 
 @pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
 def test_huge_integers_raise_input_error(value):

@@ -331,6 +331,14 @@ def test_lift_one_photon_block_is_v():
             assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-14)
 
 
+
+def test_lift_of_identity_returns_the_state_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for m, cutoff in ((2, 8), (3, 6), (4, 4)):
+        psi = _random_sector_state(rng, m, cutoff)
+        out = focksim.apply_mode_transform(psi, np.eye(m), cutoff)
+        assert out is not psi and out.tobytes() == psi.tobytes()
+
 def test_lift_is_a_representation():
     rng = np.random.default_rng(32)
     for m, cutoff in ((2, 12), (3, 10), (4, 6)):

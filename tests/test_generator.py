@@ -12,12 +12,12 @@ def test_from_matrix_diagonal():
     gen = generator.from_matrix(np.diag([1.0, 3.0]).astype(complex))
     assert np.allclose(gen.eig.eigvals, [1.0, 3.0])
     assert np.allclose(np.abs(gen.eig.U), np.eye(2))
-    assert len(gen.idler_indices) == 0
+    assert np.flatnonzero(gen.idler_mask).size == 0
 
 
 def test_from_matrix_idler_detection():
     gen = generator.from_matrix(np.diag([0.0, 2.0]).astype(complex), signal_tol=1e-12)
-    assert list(gen.idler_indices) == [0]
+    assert list(np.flatnonzero(gen.idler_mask)) == [0]
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), 1.0, 2.0, float("inf")])
@@ -28,7 +28,7 @@ def test_from_matrix_rejects_signal_tol_outside_unit_interval(tol):
 
 def test_from_matrix_zero_signal_tol_keeps_exact_zero_an_idler():
     gen = generator.from_matrix(np.diag([0.0, 1.0, 2.0]).astype(complex), signal_tol=0.0)
-    assert list(gen.idler_indices) == [0]
+    assert list(np.flatnonzero(gen.idler_mask)) == [0]
 
 
 def test_from_matrix_2x2_analytic():
@@ -100,6 +100,19 @@ def test_idler_mask_and_signal_projector_are_cached_read_only(eigvals):
     assert gen.idler_mask is gen.idler_mask
     assert generator.signal_projector(gen) is generator.signal_projector(gen)
 
+
+
+def test_stack_slice_equals_each_matrix_built_alone():
+    rng = np.random.default_rng(4)
+    mats = np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2)), random_hermitian(rng, 2)], complex)
+    stacked = generator.from_matrix(mats)
+    for k, a in enumerate(mats):
+        part, alone = stacked[k], generator.from_matrix(a)
+        for x, y in ((part.eig.eigvals, alone.eig.eigvals), (part.eig.U, alone.eig.U),
+                     (part.idler_mask, alone.idler_mask),
+                     (generator.signal_projector(part), generator.signal_projector(alone))):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert not part.idler_mask.flags.writeable and not generator.signal_projector(part).flags.writeable
 
 def test_shift_generator_uniform_grid():
     gen = generator.shift_generator(DiscretizationGrid(0.0, 4.0, 4), "time_shift")

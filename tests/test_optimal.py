@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -328,3 +330,14 @@ def test_build_probe_photon_number_axis_is_the_stack_of_scalar_builds(kind, mode
 def test_probe_spec_checks_every_photon_number_of_an_axis(ns):
     with pytest.raises(InputError, match="n_signal"):
         optimal.ProbeSpec(kind="optimal", n_signal=np.array(ns) if ns != ["1", "2"] else ns)
+
+
+def test_build_probe_result_holds_no_reference_to_the_generator():
+    gen = _diag_gen([0.0, 1.0, 3.0])
+    ref = weakref.ref(gen)
+    spec = optimal.ProbeSpec(kind="optimal", n_signal=2.0, target_gmean=1.5, target_gvar=1.0)
+    result = optimal.build_probe(spec, gen)
+    generator.signal_projector(gen)  # the cached projector must not keep it alive either
+    del gen
+    assert ref() is None
+    assert result.predicted_qfi > 0.0 and result.achieved.n_signal == pytest.approx(2.0)

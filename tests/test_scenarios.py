@@ -503,6 +503,13 @@ def test_table_probe_optimal_needs_a_spread(gbar, dg):
         scenarios.table_probe("optimal", 2.0, gbar, dg)
 
 
+@pytest.mark.parametrize("kind", ["foo", "Optimal", "idler_assisted"])
+def test_table_probe_names_the_table_families_for_an_unknown_kind(kind):
+    with pytest.raises(InputError, match="kind must be one of the table families") as err:
+        scenarios.table_probe(kind, 2.0, 1.0, 0.5)
+    assert str(scenarios.TABLE_KINDS) in str(err.value) and repr(kind) in str(err.value)
+
+
 @pytest.mark.parametrize("kind", scenarios.SCENARIO_KINDS)
 @pytest.mark.parametrize("r", [(0.5, 0.5), (0.7, 0.3)])
 def test_regularized_probe_unmatched_theta_keeps_independent_modes(kind, r, monkeypatch):
