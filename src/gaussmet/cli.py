@@ -210,7 +210,7 @@ def _cmd_homodyne(args) -> int:
     payload = dataclasses.asdict(result)
     if args.samples > 0:  # --samples-out keeps every row, as its files are written only after the report is checked
         samples = (measurement.sample_homodyne(d, gen, setup, args.samples, args.seed) if args.samples_out
-                   else measurement._sample_rows(d, gen, setup, args.samples, args.seed)[1])
+                   else measurement._sample_blocks(d, gen, setup, args.samples, args.seed)[1])
         payload["empirical_fi"] = measurement._score_fi(result, samples)
     sig = _sig_digits(args)
     payload = jsonio.round_floats(payload, sig)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel
-from .errors import GaussmetWarning, InputError, TailTooLargeError
+from .errors import GaussmetWarning, InputError, TailTooLargeError, _require_integer, require_finite
 from .gaussian import DisentangledForm
 from .generator import Generator
 
@@ -51,8 +51,8 @@ class OracleConfig:
     tail_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise InputError("cutoff must be at least 1")
+        _require_integer(self.cutoff, 1, "cutoff must be an integer of at least 1")
+        require_finite(fd_step=self.fd_step, tail_tol=self.tail_tol)
         if not (0.0 < self.tail_tol < 1.0):
             raise InputError("tail_tol must lie in (0, 1)")
         if self.fd_step <= 0:

@@ -20,6 +20,7 @@ environment's quadrature variance, 1 for vacuum (see sigma_env_from_thermal).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ class HomodyneSetup:
             raise InputError("need one phase per measured mode")
         else:
             require_finite(**{f"phase {k}": phi for k, phi in enumerate(self.phases)})
-        if not all(isinstance(n, (int, np.integer)) for n in self.mode_indices):
-            raise InputError(f"measured mode indices must be integers, got {self.mode_indices}")
+        for n in self.mode_indices:  # a bool is no index; a negative one fails homodyne_fi's range check
+            _require_integer(n, -math.inf, "measured mode indices must be integers")
         if len(set(self.mode_indices)) != len(self.mode_indices):
             raise InputError(f"measured mode indices must be distinct, got {self.mode_indices}")
 
@@ -204,31 +205,36 @@ def sample_homodyne(
     """Draw homodyne outcomes, one row of n_samples per measured mode.
 
     Outcomes are independent zero-mean Gaussians at the per-mode variance of the setup; a seed (integer >= 0)
-    reproduces its stream. n_samples is an integer >= 1; numpy integers count, a bool does not.
+    reproduces its stream. n_samples is an integer from 1 to 2**44 (8 * n_samples bytes per row fill at most
+    the 47-bit address space); numpy integers count, a bool does not.
     """
-    out, rows = _sample_rows(d, gen, setup, n_samples, seed, keep=True)
-    for _ in rows:  # each step fills the next row of out
-        pass
+    k, rows = _sample_blocks(d, gen, setup, n_samples, seed)
+    out = _allocate((k, n_samples), f"{n_samples} samples per measured mode")
+    for dest, row in zip(out, rows):
+        for start, block in zip(range(0, n_samples, _BLOCK), row):
+            dest[start:start + block.size] = block
     return out
 
 
-def _sample_rows(d, gen, setup, n_samples, seed, keep=False):
-    """(buffer, rows) of :func:`sample_homodyne`: the (k, n_samples) array if ``keep``, else one reused row; iterating
-    ``rows`` fills and yields each mode's row in mode order from one ``default_rng(seed)`` stream, so keep or not,
-    the values are the same."""
+def _sample_blocks(d, gen, setup, n_samples, seed):
+    """(k, rows) of :func:`sample_homodyne`'s draw for its k measured modes: ``rows`` yields each mode's row in
+    mode order from one ``default_rng(seed)`` stream, as an iterator over its consecutive blocks of at most
+    ``_BLOCK`` scaled samples. Read each row to its end before the next; every block is one reused buffer, valid
+    until the next is drawn. Filled block by block, the stream gives the values of one (k, n_samples) draw."""
     seed = _require_integer(seed, 0, "seed must be non-negative and an integer")
-    _require_integer(n_samples, 1, "n_samples must be an integer of at least 1")
+    n_samples = _require_integer(n_samples, 1, "n_samples must be an integer of at least 1")
     scale = np.sqrt(homodyne_fi(d, gen, setup).variances)
-    out = _allocate((scale.size if keep else min(scale.size, 1), n_samples), f"{n_samples} samples per measured mode")
-    rng = np.random.default_rng(seed)
+    if n_samples > 2**44:  # a row of 8 * n_samples bytes past the 47-bit address space
+        raise InputError(f"cannot allocate {n_samples} samples per measured mode")
+    rng, buf = np.random.default_rng(seed), np.empty(min(n_samples, _BLOCK))
 
-    def fill(k):
-        row = out[k if keep else 0]
-        rng.standard_normal(out=row)
-        row *= scale[k]
-        return row
+    def row(s):
+        for start in range(0, n_samples, _BLOCK):
+            block = rng.standard_normal(out=buf[: min(_BLOCK, n_samples - start)])
+            block *= s
+            yield block
 
-    return out, map(fill, range(scale.size))
+    return scale.size, map(row, scale)
 
 
 def empirical_fi(
@@ -245,23 +251,28 @@ def empirical_fi(
     (v'/(2v))^2 = FI_n / 2, so the estimate is the sum over modes of
     FI_n / 2 times the sample mean of (x^2/v - 1)^2, with v and FI_n read
     from :func:`homodyne_fi`. The samples are :func:`sample_homodyne`'s, drawn
-    and scored one measured mode at a time: one row of 8 * n_samples bytes.
+    and scored one block of ``_BLOCK`` samples at a time, so memory does not
+    grow with n_samples or the number of measured modes.
     """
-    return _score_fi(homodyne_fi(d, gen, setup), _sample_rows(d, gen, setup, n_samples, seed)[1])
+    return _score_fi(homodyne_fi(d, gen, setup), _sample_blocks(d, gen, setup, n_samples, seed)[1])
 
 
 def _score_fi(base: HomodyneResult, rows) -> float:
-    """:func:`empirical_fi` from ``rows`` drawn at ``base``'s setup, one per measured mode: an array, or
-    any iterable of rows such as ``_sample_rows``'s. Each row is scored ``_BLOCK`` at a time, left unchanged."""
-    buf, total = np.empty(_BLOCK), 0.0  # rows may come one at a time, so their length is not known here
-    for fi_n, v, x in zip(base.per_mode_fi, base.variances, rows):
-        sq_sum = 0.0
-        for start in range(0, x.size, _BLOCK):
-            y = np.square(x[start:start + _BLOCK], out=buf[: min(_BLOCK, x.size - start)])
+    """:func:`empirical_fi` from ``rows`` drawn at ``base``'s setup, one per measured mode: an array, or any
+    iterable of rows. A row is an array, scored ``_BLOCK`` at a time and left unchanged, or, as ``_sample_blocks``
+    yields, an iterable of its consecutive blocks."""
+    buf, total = np.empty(_BLOCK), 0.0  # rows may come a block at a time, so their length is not known here
+    for fi_n, v, row in zip(base.per_mode_fi, base.variances, rows):
+        if isinstance(row, np.ndarray):
+            row = np.split(row, range(_BLOCK, row.size, _BLOCK))
+        sq_sum, size = 0.0, 0
+        for x in row:
+            y = np.square(x, out=buf[: x.size])
             y /= v
             y -= 1.0
             sq_sum += float(y @ y)
-        total += 0.5 * fi_n * (sq_sum / x.size)
+            size += x.size
+        total += 0.5 * fi_n * (sq_sum / size)
     return total
 
 

@@ -1185,6 +1185,19 @@ def test_counts_past_memory_exit_3(fixture_paths, capsys, count, command):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_homodyne_estimate_past_the_count_bound_exits_3(fixture_paths, capsys):
+    # without --samples-out nothing of the count's size is allocated, so the sample-count bound refuses it
+    state_path, gen_path, tmp_path = fixture_paths
+    before = sorted(os.listdir(tmp_path))
+    argv = ["homodyne", "--state", state_path, "--generator", gen_path, "--samples", str(10**17),
+            "--out", str(tmp_path / "never.json")]
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot allocate") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("full", [False, True])
 def test_homodyne_samples_csv_spans_blocks(fixture_paths, capsys, tmp_path, full):
     # N = B + 3 puts three samples in a second block of CSV text

@@ -92,6 +92,19 @@ def test_fock_build_rejects_many_modes():
         focksim.fock_build(d, OracleConfig(cutoff=3))
 
 
+@pytest.mark.parametrize("kwargs, rule", [
+    ({"cutoff": 2.5}, "cutoff must be an integer of at least 1"),
+    ({"cutoff": "6"}, "cutoff must be an integer of at least 1"),
+    ({"cutoff": True}, "cutoff must be an integer of at least 1"),
+    ({"cutoff": 4, "fd_step": math.nan}, "fd_step must be a finite number"),
+    ({"cutoff": 4, "fd_step": math.inf}, "fd_step must be a finite number"),
+    ({"cutoff": 4, "tail_tol": math.nan}, "tail_tol must be a finite number"),
+])
+def test_oracle_config_follows_the_number_rules(kwargs, rule):
+    with pytest.raises(InputError, match=rule):
+        OracleConfig(**kwargs)
+
+
 def test_fock_qfi_vacuum_zero():
     gen = generator.from_matrix(np.diag([1.0]).astype(complex))
     psi = focksim.fock_build(_single_mode(), OracleConfig(cutoff=6))

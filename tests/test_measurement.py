@@ -563,6 +563,13 @@ def test_homodyne_setup_rejects_non_integer_modes(modes):
         HomodyneSetup(mode_indices=modes)
 
 
+@pytest.mark.parametrize("modes", [(True,), (False,), (True, False), (0, True)])
+def test_homodyne_setup_rejects_boolean_modes(modes):
+    # numpy would read booleans as a mask: (True, False) measured mode 0 alone
+    with pytest.raises(InputError, match="measured mode indices must be integers"):
+        HomodyneSetup(mode_indices=modes)
+
+
 def test_homodyne_setup_accepts_numpy_integer_modes():
     d = _probe(2, [1.0, 2.0])
     numpy_modes = HomodyneSetup(mode_indices=(np.int64(0), np.intp(1)))
@@ -673,6 +680,36 @@ def test_empirical_fi_holds_one_measured_mode_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20  # one 7.6 MiB row and one scoring block; the whole (3, N) draw peaked at 23.4 MiB
+
+
+def test_empirical_fi_memory_does_not_grow_with_samples():
+    d, gen, setup = _row_draw_cases()[2]  # three measured modes
+    tracemalloc.start()
+    try:
+        measurement.empirical_fi(d, gen, setup, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20  # one drawn and one scoring block of _BLOCK samples; a whole 10^6-sample row is 7.6 MiB
+
+
+def test_sample_count_bound_is_two_to_the_44():
+    # 8 * 2**44 bytes fill the 47-bit address space: one more sample per row is refused before anything is drawn
+    d, gen, setup = _row_draw_cases()[2]
+    for fn in (measurement.sample_homodyne, measurement.empirical_fi):
+        with pytest.raises(InputError, match=f"cannot allocate {2**44 + 1} samples per measured mode"):
+            fn(d, gen, setup, 2**44 + 1, 0)
+    k, rows = measurement._sample_blocks(d, gen, setup, 2**44, 0)  # accepted; the stream draws nothing until read
+    assert k == 3 and next(next(rows)).size == _B
+
+
+def test_empirical_fi_evaluates_homodyne_fi_twice(monkeypatch):
+    # mirrors the benchmark's homodyne_fi_per_empirical pin of 2: the estimate's base and the draw's variances
+    calls, real = [], measurement.homodyne_fi
+    monkeypatch.setattr(measurement, "homodyne_fi", lambda *args: calls.append(args) or real(*args))
+    d, gen, setup = _row_draw_cases()[2]
+    measurement.empirical_fi(d, gen, setup, 100, 0)
+    assert len(calls) == 2
 
 
 _NOT_INTEGERS = [2.5, True, "3", None, float("nan")]
