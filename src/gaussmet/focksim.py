@@ -44,6 +44,8 @@ class OracleConfig:
 
     ``cutoff`` bounds the total photon number N summed over modes;
     ``tail_tol`` bounds the probability the product state has at N > cutoff.
+    ``fock_build`` refuses (cutoff + 1)**max(M, 3) > 2**43: its lattice or
+    lift buffer of 16-byte amplitudes past the 47-bit address space.
     """
 
     cutoff: int
@@ -275,6 +277,8 @@ def fock_build(d: DisentangledForm, cfg: OracleConfig) -> FockStateVector:
     if m > MAX_MODES:
         raise InputError(f"oracle supports up to {MAX_MODES} modes, got {m}")
     c = cfg.cutoff
+    if (c + 1) ** max(m, 3) > 2**43:  # checked before any column recurrence or lattice
+        raise InputError(f"cannot allocate the lattice or lift of cutoff {c} at {m} modes")
     psi = np.ones(1, dtype=complex)
     for n in range(m):
         psi = np.multiply.outer(psi, _displaced_squeezed_column(d.alpha[n], d.r[n], c)).reshape(-1)

@@ -3,7 +3,10 @@
 Complex numbers are two-element [re, im] arrays, read a whole array at a
 time (``_parse_array``); ``format_json`` writes a complex ndarray as its
 [re, im] pair lists. Files are the bytes of ``json.dumps(obj, indent=2)``, with
-shortest-round-trip floats, so they round-trip bit-exactly. Reports
+shortest-round-trip floats, so they round-trip bit-exactly. orjson reads
+files (its floats are the stdlib's, bit for bit); the stdlib reads what
+orjson refuses or what nests past 64 levels, as before. Only an integer
+outside the 64-bit range reads differently: as the nearest float. Reports
 need no schema here: the CLI converts its result dataclasses with
 ``dataclasses.asdict`` and rounds them with ``round_floats`` to a
 significant-digit budget, which also rejects NaN and infinity.
@@ -12,6 +15,7 @@ significant-digit budget, which also rejects NaN and infinity.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -30,9 +34,9 @@ from .scenarios import ScenarioConfig
 def _parse_array(obj: Any, where: str, ndim: int) -> np.ndarray:
     """Non-empty (M,) or (M, M') complex array from pairs of shape (M, 2)
     (``ndim`` 2) or (M, M', 2) (``ndim`` 3). Strings and all-boolean
-    arrays are rejected; ``null`` and integers wider than 64 bits leave
-    numpy an object array, read again as floats (``null`` as NaN), so
-    every entry must be finite."""
+    arrays are rejected; ``null``, and integers wider than 64 bits that only
+    the stdlib parses (orjson gives floats), leave numpy an object array,
+    read again as floats (``null`` as NaN), so every entry must be finite."""
     try:
         a = np.array(obj)
         if a.dtype.kind == "O":
@@ -133,10 +137,31 @@ def round_floats(obj: Any, sig_digits: int) -> Any:
     return obj
 
 
+_NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _nesting_depth(data: bytes) -> int:
+    """The deepest bracket nesting of JSON text ``data``, brackets in strings left out; exact up to its first error."""
+    if b"\\" in data:  # escaped backslashes go first, then escaped quotes: each quote left opens or closes a string
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = np.frombuffer(b"".join(data.translate(None, _NOT_BRACKET_OR_QUOTE).split(b'"')[::2]), np.int8)
+    return int(np.cumsum((brackets & 2) - 1).max(initial=0))  # bit 1 is set in "[" and "{", clear in "]" and "}"
+
+
+def _parse(data: bytes) -> Any:
+    """``data`` as orjson parses it, or as the stdlib does where orjson refuses it or it nests too deep."""
+    import orjson  # on the first read, not when the CLI is imported
+
+    if _nesting_depth(data) <= 64:  # orjson nests by C recursion, which overflows the stack near 10**5 levels
+        with contextlib.suppress(orjson.JSONDecodeError):
+            return orjson.loads(data)
+    return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))  # decoded as open(path) decodes
+
+
 def load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+        with open(path, "rb") as handle:
+            obj = _parse(handle.read())
     except FileNotFoundError as exc:
         raise InputError(f"file not found: {path}") from exc
     except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, huge ints, deep nesting

@@ -604,6 +604,8 @@ _BAD_INPUT_FILES = {
     "infinite-n-modes": (_state(n_modes="1e400"), None, "invalid state field"),
     "over-digit-limit": (_state(beta="[[%s, 0], [0, 0]]" % ("1" * 5000)), None, "malformed JSON"),
     "too-deep": ('{"n_modes": 2, "beta": %s, "f": ' % _ZERO_BETA + "[" * 100000, None, "malformed JSON"),
+    "deep-beta": (_state(beta="[" * 2000 + "]" * 2000), None, "malformed JSON"),
+    "byte-order-mark": ("\ufeff" + _state(), None, "Unexpected UTF-8 BOM"),
     "string-and-boolean-pair": (_state(beta='[["1.5", true], [0, 0]]'), None, "beta: entries must be numbers"),
     "numeric-string-G": (None, _gen(g00='"1"'), "G: entries must be numbers"),
     "all-boolean-f": (
@@ -687,13 +689,13 @@ def test_python_dash_m_runs_the_cli(fixture_paths, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # numpy is the one runtime dependency; scipy.linalg would more than double the start-up of every command,
-    # hashlib (with its OpenSSL binding) adds about 6 ms that the temp-file names do not need, and the
-    # argument parser is built on the first run, not at import
+    # numpy and orjson are the runtime dependencies, and orjson loads on the first file read, not at import;
+    # scipy.linalg would more than double the start-up of every command, hashlib (with its OpenSSL binding)
+    # adds about 6 ms that the temp-file names do not need, and the argument parser is built on the first run
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, gaussmet.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')), "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib', 'orjson')), "
             "gaussmet.cli._build_parser.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,8 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -425,6 +427,21 @@ def test_src_raises_only_package_errors():
     }
     assert defined - caught - {"GaussmetError", "InputError"} == set()
 
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(gaussmet.__file__).parent
+    with open(root.parent.parent / "pyproject.toml", "rb") as handle:
+        declared = {re.match(r"[\w.-]+", dep).group() for dep in tomllib.load(handle)["project"]["dependencies"]}
+    imported = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"gaussmet"} == declared == {"numpy", "orjson"}
 
 
 def test_every_name_the_benchmark_traces_exists():

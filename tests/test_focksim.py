@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import pathlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -103,6 +104,24 @@ def test_fock_build_rejects_many_modes():
 def test_oracle_config_follows_the_number_rules(kwargs, rule):
     with pytest.raises(InputError, match=rule):
         OracleConfig(**kwargs)
+
+
+@pytest.mark.parametrize("m, cutoff", [(1, 10**400), (1, 10**7), (2, 20642), (4, 2**11)])
+def test_fock_build_refuses_a_cutoff_past_the_allocation_limit(monkeypatch, m, cutoff):
+    # (cutoff + 1)**max(M, 3) > 2**43; refused before any column recurrence, lattice or allocation
+    def never(*args):
+        raise AssertionError("fock_build went past its size check")
+
+    for name in ("_displaced_squeezed_column", "_lattice", "_two_mode_blocks"):
+        monkeypatch.setattr(focksim, name, never)
+    d = random_small_state(np.random.default_rng(m), m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"cannot allocate the lattice or lift of cutoff {cutoff} at {m} modes"):
+            focksim.fock_build(d, OracleConfig(cutoff=cutoff))
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
 
 
 def test_fock_qfi_vacuum_zero():

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,3 +192,133 @@ def test_state_from_dict_requires_a_string_for_basis_label(label):
 def test_state_from_dict_keeps_string_basis_label():
     assert jsonio.state_from_dict({**_STATE_DICT, "basis_label": "b"}).basis_label == "b"
     assert jsonio.state_from_dict(_STATE_DICT).basis_label == "a"
+
+
+def _same(a, b):
+    """Equal JSON values of equal types, floats compared by bit pattern (so -0.0 and 0.0 differ, NaN equals NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _stdlib_read(path):
+    """What the reader gave before orjson: the stdlib's value, or the message of the InputError it raised."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        return f"malformed JSON in {path}: {exc}"
+
+
+def _read(path):
+    try:
+        return jsonio.load_json(str(path))
+    except InputError as exc:
+        return str(exc)
+
+
+def _random_doubles(rng, n):
+    """Finite doubles of every exponent and sign, subnormals included, plus the edge values."""
+    bits = rng.integers(0, 2**63, n, dtype=np.int64) * rng.choice([1, -1], n)
+    spread = bits.view(float)
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308, 0.1, 1 / 3, 2.0**53 + 2.0]
+    values = np.concatenate([spread[np.isfinite(spread)], scaled, edges])
+    return values[: len(values) // 2 * 2].reshape(-1, 2)
+
+
+@pytest.mark.parametrize("literal", [repr, "%.17g".__mod__, "%.20e".__mod__], ids=["repr", "%.17g", "%.20e"])
+def test_load_json_reads_float_literals_as_the_stdlib_does(tmp_path, literal):
+    pairs = _random_doubles(np.random.default_rng(17), 6000)
+    rows = ",\n".join("[%s, %s]" % (literal(re), literal(im)) for re, im in pairs.tolist())
+    # integers wider than 64 bits but inside the float range: orjson makes them floats, the stdlib ints
+    wide = "[18446744073709551616, -9223372036854775809], [%s, %s]" % ("9" * 300, "-" + "12345678901234567891" * 15)
+    text = '{"n_modes": 1, "beta": [%s, %s], "f": [[[0.0, 0.0]]]}' % (rows, wide)
+    path = tmp_path / "state.json"
+    path.write_text(text, encoding="utf-8")
+    ours, stdlib = jsonio.load_json(str(path)), json.loads(text)
+    assert _same(ours["beta"][:-2], stdlib["beta"][:-2])
+    got = jsonio._parse_array(ours["beta"], "beta", 2)
+    assert got.tobytes() == jsonio._parse_array(stdlib["beta"], "beta", 2).tobytes()
+
+
+def test_every_json_fixture_reads_as_the_stdlib_reads_it():
+    paths = sorted(pathlib.Path(__file__).parent.rglob("*.json"))
+    assert paths
+    for path in paths:
+        assert _same(jsonio._parse(path.read_bytes()), _stdlib_read(path)), path
+
+
+_AS_BEFORE = {
+    # orjson refuses each of these; the stdlib reads them as it always did
+    "lone-surrogate": b'{"basis_label": "\\ud800", "b": ["\\udfff x"]}',
+    "nan-and-infinity": b'{"a": [NaN, Infinity, -Infinity]}',
+    "past-float-range": b'{"a": [1e400, -1e400, %s]}' % (b"1" * 400),
+    "over-digit-limit": b'{"a": %s}' % (b"7" * 5000),
+    "bom": b'\xef\xbb\xbf{"a": 1}',
+    "non-utf8": b'{"a": "\xff"}',
+    "non-utf8-late": b'{"a": "%s\xc3"}' % (b"x" * 20000),
+    "unterminated": b'{"a": ' + b"[" * 5000,
+    "trailing-comma": b'{"a": [1, 2,]}',
+    "crlf-syntax-error": b'{\r\n  "a": 1,\r\n}',
+    "cr-syntax-error": b'{\r  "a": 1,\r}',
+    "control-character": b'{"a": "x\ty"}',
+    # deeper than orjson is given: the stdlib's recursion limit refuses it
+    "deep-array": b'{"a": %s}' % (b"[" * 2000 + b"]" * 2000),
+    "deep-object": b'{"a": ' * 3000 + b"1" + b"}" * 3000,
+    "brackets-in-strings": b'{"s": "%s\\"[", "a": %s}' % (b"]" * 3000, b"[" * 2000 + b"]" * 2000),
+    # and what both read alike
+    "escapes": b'{"a": "\\\\", "b": "\\"[[", "c": [[[-0.0, 5e-324]]], "d": "\\u00e9\\u0000"}',
+    "duplicate-keys": b'{"a": 1, "b": 2, "a": [3]}',
+    "nested-64": b'{"a": %s}' % (b"[" * 63 + b"]" * 63),
+    "integers": b'{"a": [0, -0, 18446744073709551615, -9223372036854775808]}',
+}
+
+
+@pytest.mark.parametrize("data", list(_AS_BEFORE.values()), ids=list(_AS_BEFORE))
+def test_load_json_gives_the_stdlib_value_or_message(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    assert _same(_read(path), _stdlib_read(path))
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [("{}", 1), ("[[1], [[2]]]", 3), ('{"a": "[[[", "b": [1]}', 2), ('{"a": "\\"[[", "b": [[1]]}', 3),
+     ('{"a": "\\\\", "b": [[1]]}', 3), ('{"a": "\\\\\\"[", "b": []}', 2), ('"]]]]" [[', 2), ("]]][", 0), ("", 0)],
+)
+def test_nesting_depth_leaves_out_brackets_in_strings(text, depth):
+    assert jsonio._nesting_depth(text.encode()) == depth
+
+
+def test_wide_integer_reads_as_the_nearest_float(tmp_path):
+    # the one value orjson reads differently: an integer outside the 64-bit range but inside the float range
+    path = tmp_path / "state.json"
+    path.write_text('{"n_modes": %s, "beta": [[0, 0]], "f": [[[0, 0]]]}' % (10**30), encoding="utf-8")
+    obj = jsonio.load_json(str(path))
+    assert obj["n_modes"] == 1e30 and type(obj["n_modes"]) is float
+    with pytest.raises(InputError, match=r"n_modes must be an integer, got 1e\+30"):
+        jsonio.state_from_dict(obj)
+
+
+def test_nesting_past_the_c_stack_exits_3_without_a_crash(tmp_path):
+    # valid JSON nested 200 000 deep overflows orjson's recursion; it goes to the stdlib, which refuses it
+    deep = "[" * 200000 + "]" * 200000
+    paths = {"deep": '{"beta": %s}' % deep, "quoted-closers": '{"basis_label": "%s", "beta": %s}' % ("]" * 200000, deep)}
+    for name, text in paths.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    code = "import sys; from gaussmet import jsonio\nfor p in sys.argv[1:]:\n    try: jsonio.load_json(p)\n" \
+           "    except jsonio.InputError as exc: print(str(exc).split(': ')[1])"
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, *(str(tmp_path / f"{n}.json") for n in paths)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["maximum recursion depth exceeded while decoding a JSON array from a unicode string"] * 2
